@@ -66,8 +66,6 @@ func main() {
 	regN := flag.Int("regn", 12, "addressable registers (RegN)")
 	diffN := flag.Int("diffn", 8, "encodable differences (DiffN)")
 	restarts := flag.Int("restarts", 1000, "remapping restarts")
-	remapWorkers := flag.Int("remap-workers", 0, "parallel remap-search workers, bit-identical result at any count (0 = GOMAXPROCS; in-process only)")
-	spillWorkers := flag.Int("spill-workers", 0, "parallel spill-ILP workers (ospill/coalesce), bit-identical result at any count (0 = serial; in-process only)")
 	dump := flag.Bool("dump", false, "print the allocated function")
 	listing := flag.Bool("listing", false, "print the encoded listing (differential schemes)")
 	runArgs := flag.String("run", "", "simulate with comma-separated integer arguments (e.g. -run 3,5)")
@@ -154,14 +152,12 @@ func main() {
 	}
 
 	res, err := diffra.CompileFunc(f.Clone(), diffra.Options{
-		Scheme:       diffra.Scheme(*scheme),
-		Alloc:        diffra.Backend(*alloc),
-		RegN:         *regN,
-		DiffN:        *diffN,
-		Restarts:     *restarts,
-		RemapWorkers: *remapWorkers,
-		SpillWorkers: *spillWorkers,
-		Telemetry:    tracer,
+		Scheme:    diffra.Scheme(*scheme),
+		Alloc:     diffra.Backend(*alloc),
+		RegN:      *regN,
+		DiffN:     *diffN,
+		Restarts:  *restarts,
+		Telemetry: tracer,
 	})
 	if err != nil {
 		fatal(err)

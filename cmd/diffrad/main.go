@@ -70,8 +70,6 @@ func main() {
 	alloc := flag.String("alloc", "", "default allocation backend for requests that set none: auto|irc|ssa|ospill (empty = each scheme's preferred; the resolved choice is echoed as X-Diffra-Alloc)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain limit")
 	selfCheck := flag.Int("selfcheck", 0, "shadow-oracle every Nth successful compile against the reference interpreter (0 = off; see service_selfcheck_* metrics)")
-	remapWorkers := flag.Int("remap-workers", 0, "parallel remap-search workers per compile (0 = serial; the pool already compiles one request per core)")
-	spillWorkers := flag.Int("spill-workers", 0, "parallel spill-ILP workers per compile (0 = serial; bit-identical result at any count)")
 	traceBuffer := flag.Int("trace-buffer", 0, "request traces retained for /debug/traces (0 = 256; negative disables capture)")
 	debugAddr := flag.String("debug-addr", "", "opt-in debug listener serving /debug/pprof/, /debug/traces and /metrics (empty = disabled)")
 	accessLog := flag.String("access-log", "", "write one NDJSON access record per request to FILE (\"-\" for stdout)")
@@ -103,8 +101,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		Alloc:           *alloc,
 		SelfCheck:       *selfCheck,
-		RemapWorkers:    *remapWorkers,
-		SpillWorkers:    *spillWorkers,
 		TraceBuffer:     *traceBuffer,
 		AccessLog:       access,
 	})

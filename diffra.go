@@ -102,14 +102,16 @@ type Options struct {
 	// exactly as before the portfolio existed. The scheme's post-passes
 	// (remapping, refinement, encoding) run regardless of backend.
 	Alloc Backend
-	// RegN is the number of addressable registers (default 12).
+	// RegN is the number of addressable registers (default 12, at most
+	// MaxRegN).
 	RegN int
 	// DiffN is the number of encodable differences (default
 	// min(8, RegN)). DiffN == RegN disables differential encoding
 	// (direct-equivalent); DiffN > RegN is rejected — the difference
 	// alphabet cannot exceed the register file (§2).
 	DiffN int
-	// Restarts bounds the remapping search (default 1000).
+	// Restarts bounds the remapping search (default 1000; negative is
+	// rejected).
 	Restarts int
 	// RemapWorkers bounds the goroutines the remapping search shards
 	// its restarts across (0: GOMAXPROCS; 1: serial). The search is
@@ -136,6 +138,11 @@ type Options struct {
 	Scratch *scratch.Arena
 }
 
+// MaxRegN is the largest register file Options accepts: an 8-bit
+// operand field. The remapping search allocates O(RegN²) state before
+// it starts, so the bound is what keeps one request's memory finite.
+const MaxRegN = 256
+
 func (o *Options) fill() error {
 	if o.Scheme == "" {
 		o.Scheme = Select
@@ -160,6 +167,9 @@ func (o *Options) fill() error {
 	if o.RegN < 2 {
 		return fmt.Errorf("diffra: RegN=%d: need at least 2 registers", o.RegN)
 	}
+	if o.RegN > MaxRegN {
+		return fmt.Errorf("diffra: RegN=%d exceeds the %d-register limit", o.RegN, MaxRegN)
+	}
 	if o.DiffN == 0 {
 		o.DiffN = 8
 		if o.DiffN > o.RegN {
@@ -171,6 +181,9 @@ func (o *Options) fill() error {
 	}
 	if o.DiffN > o.RegN {
 		return fmt.Errorf("diffra: DiffN=%d exceeds RegN=%d: cannot encode more differences than registers", o.DiffN, o.RegN)
+	}
+	if o.Restarts < 0 {
+		return fmt.Errorf("diffra: Restarts=%d: restart count must not be negative", o.Restarts)
 	}
 	if o.Restarts == 0 {
 		o.Restarts = 1000

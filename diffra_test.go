@@ -187,6 +187,21 @@ func TestGeometryValidationBoundaries(t *testing.T) {
 	if _, err := Compile(sample, Options{RegN: 8, DiffN: -3}); err == nil {
 		t.Fatal("negative DiffN accepted")
 	}
+	// Geometries that would panic or size memory without bound fail in
+	// option resolution, before any work.
+	for _, o := range []Options{
+		{Scheme: Select, Restarts: -5},
+		{Scheme: Baseline, Restarts: -1},
+		{RegN: MaxRegN + 1, DiffN: 8},
+		{RegN: 65536},
+	} {
+		if _, err := Compile(sample, o); err == nil {
+			t.Fatalf("%+v accepted", o)
+		}
+	}
+	if _, err := Compile(sample, Options{RegN: MaxRegN, Restarts: 1}); err != nil {
+		t.Fatalf("RegN=MaxRegN rejected: %v", err)
+	}
 	if _, _, err := EncodeSequence([]int{0}, 1, 1); err == nil {
 		t.Fatal("sequence codec accepted RegN=1")
 	}

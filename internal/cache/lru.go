@@ -1,3 +1,7 @@
+// Package cache is the compile service's result store: a bounded
+// in-memory LRU, a persistent disk tier, and the TwoLevel store that
+// layers them. The simulated I/D-cache hardware model lives with the
+// simulator, in internal/pipeline.
 package cache
 
 import (
@@ -8,10 +12,7 @@ import (
 // LRU is a bounded, concurrency-safe least-recently-used map from
 // string keys to values. It is the in-memory tier of the service's
 // result cache (see TwoLevel); the zero capacity disables it, so a
-// disabled cache and a full cache share one code path. Unlike the
-// set-associative Cache model above — which simulates hardware for the
-// paper's pipeline — LRU is infrastructure: exact recency order, no
-// geometry.
+// disabled cache and a full cache share one code path.
 type LRU[V any] struct {
 	mu        sync.Mutex
 	max       int

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,40 @@ func TestLowEndReportRendering(t *testing.T) {
 	for _, want := range []string{"Figure 11", "Figure 12", "Figure 13", "Figure 14", "average", "crc32", "coalesce"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestLowEndGolden pins the paper-configuration figures, simulated
+// cycles included, to the committed text output of cmd/lowend
+// (testdata/lowend.golden). A change to any figure must be a
+// deliberate one that regenerates the golden with
+// `go run ./cmd/lowend > internal/experiments/testdata/lowend.golden`.
+func TestLowEndGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment")
+	}
+	rep, err := RunLowEnd(DefaultLowEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	rep.WriteAll(&sb)
+	want, err := os.ReadFile("testdata/lowend.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(sb.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("line %d differs from testdata/lowend.golden:\n got: %q\nwant: %q", i+1, g, w)
 		}
 	}
 }

@@ -9,16 +9,9 @@ import (
 	"context"
 	"fmt"
 
-	"diffra/internal/adjacency"
-	"diffra/internal/diffcoal"
-	"diffra/internal/diffenc"
-	"diffra/internal/diffsel"
-	"diffra/internal/ir"
-	"diffra/internal/irc"
-	"diffra/internal/ospill"
+	"diffra"
+	"diffra/internal/encode"
 	"diffra/internal/pipeline"
-	"diffra/internal/regalloc"
-	"diffra/internal/remap"
 	"diffra/internal/service"
 	"diffra/internal/workloads"
 )
@@ -44,8 +37,6 @@ type LowEndConfig struct {
 	BaselineK, RegN, DiffN int
 	// Restarts bounds the remapping search (paper: 1000).
 	Restarts int
-	// Seed drives the remapping restarts.
-	Seed int64
 	// Workers bounds concurrent kernel×scheme cells (0: GOMAXPROCS).
 	// Every cell is independent and deterministic, so the report is
 	// identical at any worker count.
@@ -54,7 +45,7 @@ type LowEndConfig struct {
 
 // DefaultLowEnd returns the paper's configuration.
 func DefaultLowEnd() LowEndConfig {
-	return LowEndConfig{BaselineK: 8, RegN: 12, DiffN: 8, Restarts: 1000, Seed: 1}
+	return LowEndConfig{BaselineK: 8, RegN: 12, DiffN: 8, Restarts: 1000}
 }
 
 // KernelResult is one kernel under one scheme.
@@ -129,10 +120,11 @@ func (rep *LowEndReport) avg(scheme string, f func(KernelResult) float64) float6
 }
 
 // RunLowEnd executes the full §10.1 experiment: each kernel is
-// compiled under all five schemes, encoded, statically measured and
-// simulated on the low-end pipeline. Every allocation is verified and
-// every differential encoding is checked decodable; every simulated
-// run must return the same value as the virtual-register reference.
+// compiled under all five schemes through the facade (diffra.CompileFunc,
+// which verifies every allocation and checks every differential
+// encoding decodable), statically measured and simulated on the
+// low-end pipeline. Every simulated run must return the same value as
+// the virtual-register reference.
 //
 // The kernel×scheme cells are independent, so they fan out over a
 // worker pool (cfg.Workers); results land in per-cell slots, keeping
@@ -199,26 +191,55 @@ func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 	return rep, nil
 }
 
-// serviceRequest translates one cell of the experiment grid into a
-// compile-service request: the experiments' scheme names and register
-// geometries mapped onto the facade's.
-func serviceRequest(k *workloads.Kernel, scheme string, cfg LowEndConfig) (service.Request, error) {
-	req := service.Request{IR: k.F.String()}
+// cellOptions maps one cell of the experiment grid onto facade
+// options: the paper's scheme names, the baselines on the directly
+// encodable BaselineK registers, the differential schemes on RegN/DiffN.
+// The in-process harness and the service batch path both use it.
+func cellOptions(scheme string, cfg LowEndConfig) (diffra.Options, error) {
+	opts := diffra.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts}
 	switch scheme {
 	case SchemeBaseline:
-		req.Scheme, req.RegN, req.DiffN = "baseline", cfg.BaselineK, cfg.BaselineK
+		opts.Scheme, opts.RegN, opts.DiffN = diffra.Baseline, cfg.BaselineK, cfg.BaselineK
 	case SchemeOSpill:
-		req.Scheme, req.RegN, req.DiffN = "ospill", cfg.BaselineK, cfg.BaselineK
+		opts.Scheme, opts.RegN, opts.DiffN = diffra.OSpill, cfg.BaselineK, cfg.BaselineK
 	case SchemeRemap:
-		req.Scheme, req.RegN, req.DiffN, req.Restarts = "remapping", cfg.RegN, cfg.DiffN, cfg.Restarts
+		opts.Scheme = diffra.Remapping
 	case SchemeSelect:
-		req.Scheme, req.RegN, req.DiffN, req.Restarts = "select", cfg.RegN, cfg.DiffN, cfg.Restarts
+		opts.Scheme = diffra.Select
 	case SchemeCoalesce:
-		req.Scheme, req.RegN, req.DiffN, req.Restarts = "coalesce", cfg.RegN, cfg.DiffN, cfg.Restarts
+		opts.Scheme = diffra.Coalesce
 	default:
-		return req, fmt.Errorf("unknown scheme %q", scheme)
+		return opts, fmt.Errorf("unknown scheme %q", scheme)
 	}
-	return req, nil
+	return opts, nil
+}
+
+// runKernelScheme compiles one kernel under one scheme and measures
+// the result: static counts, code size under the 16-bit model, and a
+// simulated run on mach.
+func runKernelScheme(mach *pipeline.Machine, k *workloads.Kernel, scheme string, cfg LowEndConfig) (*KernelResult, error) {
+	opts, err := cellOptions(scheme, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := diffra.CompileFunc(k.F, opts)
+	if err != nil {
+		return nil, err
+	}
+	ret, st, err := mach.Run(res.F, res.Assignment, pipeline.RunOptions{Args: k.Args, OrigParams: k.F.Params, Mem: k.Mem})
+	if err != nil {
+		return nil, err
+	}
+	return &KernelResult{
+		Kernel:      k.Name,
+		Scheme:      scheme,
+		Instrs:      res.Instrs,
+		SpillInstrs: res.SpillInstrs,
+		SetLastRegs: res.SetLastRegs,
+		CodeBytes:   encode.CodeBytes(res.F, encode.Thumb16()),
+		Cycles:      st.Cycles,
+		Ret:         ret,
+	}, nil
 }
 
 // LowEndBatch compiles the §10.1 kernel×scheme grid through a compile
@@ -232,12 +253,15 @@ func LowEndBatch(ctx context.Context, srv *service.Server, cfg LowEndConfig) (ma
 	kernels := workloads.Kernels()
 	var reqs []service.Request
 	for i := range kernels {
+		src := kernels[i].F.String()
 		for _, scheme := range schemes {
-			req, err := serviceRequest(&kernels[i], scheme, cfg)
+			opts, err := cellOptions(scheme, cfg)
 			if err != nil {
 				return nil, err
 			}
-			reqs = append(reqs, req)
+			reqs = append(reqs, service.Request{
+				IR: src, Scheme: string(opts.Scheme), RegN: opts.RegN, DiffN: opts.DiffN, Restarts: opts.Restarts,
+			})
 		}
 	}
 	resps := srv.ServeBatch(ctx, reqs)
@@ -253,97 +277,4 @@ func LowEndBatch(ctx context.Context, srv *service.Server, cfg LowEndConfig) (ma
 		out[scheme][k] = resp
 	}
 	return out, nil
-}
-
-// applyRemap runs the §5 post-pass over an allocated function: permute
-// register numbers to minimize the adjacency-graph cost. Permutations
-// preserve coloring validity.
-func applyRemap(out *ir.Func, asn *regalloc.Assignment, cfg LowEndConfig) {
-	g := adjacency.BuildReg(out, func(r ir.Reg) int { return asn.Color[r] }, cfg.RegN)
-	perm := remap.Auto(g, remap.Options{
-		RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: cfg.Seed,
-	})
-	for v, c := range asn.Color {
-		if c >= 0 {
-			asn.Color[v] = perm.Perm[c]
-		}
-	}
-}
-
-func runKernelScheme(mach *pipeline.Machine, k *workloads.Kernel, scheme string, cfg LowEndConfig) (*KernelResult, error) {
-	var (
-		out *ir.Func
-		asn *regalloc.Assignment
-		err error
-	)
-	differential := false
-	switch scheme {
-	case SchemeBaseline:
-		out, asn, err = irc.Allocate(k.F, irc.Options{K: cfg.BaselineK})
-	case SchemeRemap:
-		differential = true
-		out, asn, err = irc.Allocate(k.F, irc.Options{K: cfg.RegN})
-		if err == nil {
-			applyRemap(out, asn, cfg)
-		}
-	case SchemeSelect:
-		differential = true
-		out, asn, err = irc.Allocate(k.F, irc.Options{
-			K:             cfg.RegN,
-			PickerFactory: diffsel.NewFactory(diffsel.Params{RegN: cfg.RegN, DiffN: cfg.DiffN}),
-		})
-		if err == nil {
-			// §3: "differential remapping can always be invoked after
-			// approach 2 or 3, since ... differential remapping is a
-			// post-pass optimization." The register-level remap
-			// explores joint permutations; the live-range-level refine
-			// then escapes per-range suboptimalities.
-			applyRemap(out, asn, cfg)
-			diffsel.Refine(out, asn, diffsel.Params{RegN: cfg.RegN, DiffN: cfg.DiffN})
-		}
-	case SchemeOSpill:
-		out, asn, _, err = ospill.Allocate(k.F, ospill.Options{K: cfg.BaselineK})
-	case SchemeCoalesce:
-		differential = true
-		out, asn, _, err = diffcoal.Allocate(k.F, diffcoal.Options{RegN: cfg.RegN, DiffN: cfg.DiffN})
-		if err == nil {
-			applyRemap(out, asn, cfg)
-			diffsel.Refine(out, asn, diffsel.Params{RegN: cfg.RegN, DiffN: cfg.DiffN})
-		}
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := regalloc.Verify(out, asn); err != nil {
-		return nil, err
-	}
-
-	res := &KernelResult{Kernel: k.Name, Scheme: scheme}
-	if differential {
-		dcfg := diffenc.Config{RegN: cfg.RegN, DiffN: cfg.DiffN}
-		regOf := func(r ir.Reg) int { return asn.Color[r] }
-		enc, err := diffenc.Encode(out, regOf, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := diffenc.Check(out, regOf, dcfg, enc); err != nil {
-			return nil, err
-		}
-		enc.ApplyToIR(out)
-		res.SetLastRegs = enc.Cost()
-	}
-
-	spills, total := regalloc.SpillStats(out)
-	res.SpillInstrs, res.Instrs = spills, total
-	res.CodeBytes = total * 2 // fixed 16-bit instructions
-
-	ret, st, err := mach.Run(out, asn, pipeline.RunOptions{Args: k.Args, OrigParams: k.F.Params, Mem: k.Mem})
-	if err != nil {
-		return nil, err
-	}
-	res.Cycles = st.Cycles
-	res.Ret = ret
-	return res, nil
 }

@@ -88,7 +88,7 @@ func profileOne(mach *pipeline.Machine, k *workloads.Kernel, cfg LowEndConfig) (
 	// Variant A: static weights.
 	staticAsn := cloneAssignment(asn)
 	gs := adjacency.BuildReg(alloc, func(r ir.Reg) int { return staticAsn.Color[r] }, cfg.RegN)
-	ps := remap.Auto(gs, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: cfg.Seed})
+	ps := remap.Auto(gs, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: 1})
 	permute(staticAsn, ps.Perm)
 	diffsel.Refine(alloc, staticAsn, params)
 	sets, cycles, err := encodeAndRun(mach, k, alloc, staticAsn, cfg)
@@ -100,7 +100,7 @@ func profileOne(mach *pipeline.Machine, k *workloads.Kernel, cfg LowEndConfig) (
 	// Variant B: profile weights.
 	profAsn := cloneAssignment(asn)
 	gp := adjacency.BuildRegProfile(alloc, func(r ir.Reg) int { return profAsn.Color[r] }, cfg.RegN, freq)
-	pp := remap.Auto(gp, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: cfg.Seed})
+	pp := remap.Auto(gp, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: 1})
 	permute(profAsn, pp.Perm)
 	diffsel.RefineProfile(alloc, profAsn, params, freq)
 	sets, cycles, err = encodeAndRun(mach, k, alloc, profAsn, cfg)

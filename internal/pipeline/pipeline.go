@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"diffra/internal/cache"
 	"diffra/internal/encode"
 	"diffra/internal/ir"
 	"diffra/internal/regalloc"
@@ -30,8 +29,8 @@ import (
 
 // Config describes the machine.
 type Config struct {
-	ICache cache.Config
-	DCache cache.Config
+	ICache CacheConfig
+	DCache CacheConfig
 	// Latency per opcode class.
 	MulLat, DivLat int
 	// BranchBubble is the redirect penalty for taken branches.
@@ -49,8 +48,8 @@ type Config struct {
 // experiments: a 5-stage in-order core with small split caches.
 func LowEnd() Config {
 	return Config{
-		ICache:        cache.Config{Size: 4096, LineSize: 32, Assoc: 2, MissPenalty: 20},
-		DCache:        cache.Config{Size: 4096, LineSize: 32, Assoc: 2, MissPenalty: 20},
+		ICache:        CacheConfig{Size: 4096, LineSize: 32, Assoc: 2, MissPenalty: 20},
+		DCache:        CacheConfig{Size: 4096, LineSize: 32, Assoc: 2, MissPenalty: 20},
 		MulLat:        3,
 		DivLat:        12,
 		BranchBubble:  1,
@@ -72,8 +71,8 @@ type Stats struct {
 	// the redirect bubble).
 	Branches uint64
 	Taken    uint64
-	ICache   cache.Stats
-	DCache   cache.Stats
+	ICache   CacheStats
+	DCache   CacheStats
 	// BlockCounts[i] is how many times block with Index i was entered:
 	// an execution profile usable as adjacency edge weights (the §4
 	// remark that "profile information could be incorporated to
@@ -139,8 +138,8 @@ type OpShare struct {
 // Machine executes functions.
 type Machine struct {
 	cfg Config
-	ic  *cache.Cache
-	dc  *cache.Cache
+	ic  *cache
+	dc  *cache
 }
 
 // New builds a machine.
@@ -151,11 +150,11 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.MaxInstrs == 0 {
 		cfg.MaxInstrs = 50_000_000
 	}
-	ic, err := cache.New(cfg.ICache)
+	ic, err := newCache(cfg.ICache)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: icache: %w", err)
 	}
-	dc, err := cache.New(cfg.DCache)
+	dc, err := newCache(cfg.DCache)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: dcache: %w", err)
 	}
@@ -448,7 +447,3 @@ func b2i(v bool) int64 {
 	}
 	return 0
 }
-
-// ICacheStats / DCacheStats expose the last run's cache statistics.
-func (m *Machine) ICacheStats() cache.Stats { return m.ic.Stats }
-func (m *Machine) DCacheStats() cache.Stats { return m.dc.Stats }

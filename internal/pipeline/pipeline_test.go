@@ -464,17 +464,16 @@ entry:
 `
 	f := ir.MustParse(src)
 	m := newMachine(t)
-	got, _, err := m.Run(f, nil, RunOptions{Args: []int64{7}})
+	got, st, err := m.Run(f, nil, RunOptions{Args: []int64{7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 7 {
 		t.Errorf("call result = %d, want 7 (leaf-model call returns 0)", got)
 	}
-	if m.ICacheStats().Accesses == 0 {
-		t.Error("ICacheStats empty")
+	if st.ICache.Accesses == 0 {
+		t.Error("Stats.ICache empty")
 	}
-	_ = m.DCacheStats()
 }
 
 func TestBadCacheConfigRejected(t *testing.T) {

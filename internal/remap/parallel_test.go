@@ -2,6 +2,7 @@ package remap
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -190,6 +191,36 @@ func TestGreedyCancelStopsEarly(t *testing.T) {
 		if performed < 1 || performed > float64(3+workers) {
 			t.Errorf("workers=%d: %v restarts performed after cancel, want [1, %d]", workers, performed, 3+workers)
 		}
+	}
+}
+
+// TestGreedyMemoryIndependentOfRestarts: the restart budget is a
+// bound on work, not a up-front allocation. With Cancel firing after
+// the first restart, a budget of 10 000 must allocate no more than a
+// budget of 10 — so a huge Restarts value costs nothing until restarts
+// actually run.
+func TestGreedyMemoryIndependentOfRestarts(t *testing.T) {
+	c := seededGraph(3, 16, 80).Freeze()
+	bytesPerRun := func(restarts int) uint64 {
+		opts := Options{
+			RegN: 16, DiffN: 4, Restarts: restarts, Seed: 1, Workers: 1,
+			Cancel: func() bool { return true },
+		}
+		GreedyCSR(c, opts)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			GreedyCSR(c, opts)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesPerRun(10), bytesPerRun(10_000)
+	// The slack absorbs runtime noise; per-restart state would add
+	// kilobytes (10 000 restarts × even one byte each).
+	if large > small+512 {
+		t.Fatalf("Restarts=10 000 allocated %d B per search, Restarts=10 %d B: memory grows with the restart budget", large, small)
 	}
 }
 

@@ -28,6 +28,7 @@ package remap
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -194,9 +195,8 @@ func GreedyCSR(c *adjacency.CSR, opts Options) *Result {
 	var (
 		next   atomic.Int64 // next restart index to claim
 		stopAt atomic.Int64 // lowest zero-cost restart index found
-		costs  = make([]float64, restarts)
-		done   = make([]bool, restarts)
 		bests  = make([]workerBest, workers)
+		traced = opts.Trace != nil
 	)
 	stopAt.Store(math.MaxInt64)
 
@@ -214,8 +214,6 @@ func GreedyCSR(c *adjacency.CSR, opts Options) *Result {
 				return
 			}
 			cost := e.descend(s, r)
-			costs[r] = cost
-			done[r] = true
 			b.evaluated += s.evaluated
 			s.evaluated = 0
 			b.performed++
@@ -223,6 +221,9 @@ func GreedyCSR(c *adjacency.CSR, opts Options) *Result {
 				b.cost = cost
 				b.index = r
 				b.perm = append(b.perm[:0], s.perm...)
+				if traced {
+					b.improved = append(b.improved, restartCost{r, cost})
+				}
 			}
 			if cost == 0 {
 				for {
@@ -268,25 +269,10 @@ func GreedyCSR(c *adjacency.CSR, opts Options) *Result {
 		}
 	}
 
-	if opts.Trace != nil {
-		// The improving-restart trajectory, reconstructed in restart
-		// order so it reads the same at any worker count.
-		var trajectory []float64
-		seen := false
-		lowest := 0.0
-		for r := 0; r < restarts; r++ {
-			if !done[r] {
-				continue
-			}
-			if !seen || costs[r] < lowest {
-				seen = true
-				lowest = costs[r]
-				trajectory = append(trajectory, lowest)
-			}
-		}
+	if traced {
 		opts.Trace.SetAttr("method", "greedy")
 		opts.Trace.SetAttr("best_cost", best.Cost)
-		opts.Trace.SetAttr("trajectory", trajectory)
+		opts.Trace.SetAttr("trajectory", trajectory(bests))
 		opts.Trace.SetAttr("workers", workers)
 		opts.Trace.Add("restarts", int64(performed))
 		opts.Trace.Add("evaluated", int64(best.Evaluated))
@@ -304,6 +290,34 @@ type workerBest struct {
 	perm      []int
 	evaluated int
 	performed int
+	// improved logs, in restart order, the restarts that beat every
+	// earlier restart of this worker (traced searches only).
+	improved []restartCost
+}
+
+type restartCost struct {
+	restart int
+	cost    float64
+}
+
+// trajectory is the best cost after each improving restart, in restart
+// order, so it reads the same at any worker count. A restart improves
+// on all earlier ones only if it improves on its own worker's earlier
+// ones, so the prefix minima of the workers' merged logs are exactly
+// the prefix minima over every restart performed.
+func trajectory(bests []workerBest) []float64 {
+	var log []restartCost
+	for w := range bests {
+		log = append(log, bests[w].improved...)
+	}
+	sort.Slice(log, func(i, j int) bool { return log[i].restart < log[j].restart })
+	var out []float64
+	for i, rc := range log {
+		if i == 0 || rc.cost < out[len(out)-1] {
+			out = append(out, rc.cost)
+		}
+	}
+	return out
 }
 
 // engine is the read-only shared state of one greedy search.

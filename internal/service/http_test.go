@@ -109,9 +109,14 @@ func TestHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("malformed JSON: status %s, want 400", hr.Status)
 	}
 
-	hr, _ = postCompile(t, ts.URL, Request{IR: "garbage"})
-	if hr.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad IR: status %s, want 422", hr.Status)
+	for _, req := range []Request{
+		{IR: "garbage"},
+		{IR: tinyIR, Scheme: "select", Restarts: -5},
+		{IR: tinyIR, Scheme: "select", RegN: 65536},
+	} {
+		if hr, _ = postCompile(t, ts.URL, req); hr.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%+v: status %s, want 422", req, hr.Status)
+		}
 	}
 
 	hr, resp := postCompile(t, ts.URL, Request{
@@ -128,6 +133,50 @@ func TestHTTPStatusCodes(t *testing.T) {
 	gr.Body.Close()
 	if gr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: status %s", gr.Status)
+	}
+}
+
+// TestHTTPBatchBadGeometryLine: an out-of-range geometry on one /batch
+// line is that line's error; the other lines compile and the server
+// keeps serving.
+func TestHTTPBatchBadGeometryLine(t *testing.T) {
+	_, ts := newTestHTTP(t)
+
+	var in bytes.Buffer
+	for _, req := range []Request{
+		{IR: tinyIR, Scheme: "select"},
+		{IR: tinyIR, Scheme: "select", Restarts: -1},
+		{IR: tinyIR, Scheme: "remapping", RegN: 1 << 20},
+	} {
+		if err := json.NewEncoder(&in).Encode(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hr, err := http.Post(ts.URL+"/batch", "application/x-ndjson", &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var lines []Response
+	dec := json.NewDecoder(hr.Body)
+	for {
+		var resp Response
+		if err := dec.Decode(&resp); err != nil {
+			break
+		}
+		lines = append(lines, resp)
+	}
+	if len(lines) != 3 || lines[0].Error != "" || lines[1].Error == "" || lines[2].Error == "" {
+		t.Fatalf("batch lines %+v, want ok then two errors", lines)
+	}
+
+	gr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr.Body.Close()
+	if gr.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after bad batch: status %s", gr.Status)
 	}
 }
 

@@ -26,16 +26,15 @@ func remapIR(name string, n int) string {
 }
 
 // TestRemapStressThroughPool hammers the server's worker pool with
-// concurrent remapping-scheme compiles while each compile runs its own
-// multi-worker remap search — the nested-parallelism path the race
+// concurrent remapping-scheme compiles — the shared-state path through
+// the pool, the scratch arenas and the remap search that the race
 // detector must see clean. The cache is disabled so every request
 // compiles, and every response for the same source must be identical
-// (the parallel search is deterministic).
+// (the search is deterministic).
 func TestRemapStressThroughPool(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers:      4,
 		CacheEntries: -1, // no cache: all requests exercise the compiler
-		RemapWorkers: 3,
 	})
 	sources := []string{
 		remapIR("chain20", 20),

@@ -149,18 +149,6 @@ type Config struct {
 	// their own: auto|irc|ssa|ospill, or empty to let each scheme use
 	// its preferred backend (the pre-portfolio behaviour).
 	Alloc string
-	// RemapWorkers bounds the parallelism of each compile's remapping
-	// search (diffra.Options.RemapWorkers). 0 keeps it serial: the pool
-	// already runs one compile per core, so intra-compile parallelism
-	// only helps when the server is otherwise idle. The remap result is
-	// bit-identical at any setting, so it is excluded from cache keys.
-	RemapWorkers int
-	// SpillWorkers bounds the parallelism of each compile's spill ILP
-	// solve (diffra.Options.SpillWorkers) for the ospill and coalesce
-	// schemes. 0 keeps it serial, like RemapWorkers, and for the same
-	// reason; the spill set is bit-identical at any setting, so it is
-	// excluded from cache keys.
-	SpillWorkers int
 	// Registry receives the service metrics (nil: telemetry.Default).
 	Registry *telemetry.Registry
 	// SelfCheck enables shadow oracling: every Nth successful compile
@@ -486,17 +474,9 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	if err != nil {
 		return errResponse(err)
 	}
-	// After Resolved: RemapWorkers and SpillWorkers never alter the
-	// compile result, so they must not influence the resolved options a
-	// cache key hashes.
-	opts.RemapWorkers = s.cfg.RemapWorkers
-	if opts.RemapWorkers <= 0 {
-		opts.RemapWorkers = 1
-	}
-	opts.SpillWorkers = s.cfg.SpillWorkers
-	if opts.SpillWorkers <= 0 {
-		opts.SpillWorkers = 1
-	}
+	// Each compile runs its searches serially: the pool already runs one
+	// compile per worker.
+	opts.RemapWorkers, opts.SpillWorkers = 1, 1
 	f, err := ir.Parse(req.IR)
 	if err != nil {
 		return errResponse(err)

@@ -7,17 +7,15 @@ import (
 )
 
 // TestSpillStressThroughPool hammers the server's worker pool with
-// concurrent coalesce-scheme compiles while each compile runs its own
-// multi-worker spill ILP — the nested-parallelism path through
-// diffcoal → ospill → ilp that the race detector must see clean. The
-// cache is disabled so every request solves the ILP from scratch, and
-// every response for the same source must be identical (the parallel
-// branch-and-bound is deterministic at any worker count).
+// concurrent coalesce-scheme compiles — the path through diffcoal →
+// ospill → ilp that the race detector must see clean with many
+// compiles in flight. The cache is disabled so every request solves
+// the ILP from scratch, and every response for the same source must
+// be identical (the branch-and-bound is deterministic).
 func TestSpillStressThroughPool(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers:      4,
 		CacheEntries: -1, // no cache: all requests exercise the solver
-		SpillWorkers: 3,
 	})
 	sources := []string{
 		slowIR(2, 10),
