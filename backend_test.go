@@ -3,6 +3,8 @@ package diffra
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,13 +139,16 @@ func TestPhaseErrorAttribution(t *testing.T) {
 }
 
 // TestPhaseErrorNamesRemap: cancelling mid-way through a long
-// remapping search attributes the timeout to the remap phase —
-// allocation on this kernel is microseconds, the 3M-restart search
-// runs far past the 30ms cancel point.
+// remapping search attributes the timeout to the remap phase. The
+// search stops after remap.Patience non-improving restarts, so the
+// input must make each restart slow: 20 values live across a 256-entry
+// register file at DiffN 2 costs milliseconds per restart and a few
+// hundred milliseconds per search, while allocating it takes well under
+// one millisecond.
 func TestPhaseErrorNamesRemap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := CompileContext(ctx, sample, Options{Scheme: Remapping, RegN: 8, DiffN: 4, Restarts: 3_000_000})
+	_, err := CompileContext(ctx, wideSrc(20, 6), Options{Scheme: Remapping, RegN: 256, DiffN: 2, Restarts: 3_000_000})
 	if err == nil {
 		t.Skip("search finished inside the deadline on this host")
 	}
@@ -157,4 +162,35 @@ func TestPhaseErrorNamesRemap(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("PhaseError does not unwrap to DeadlineExceeded: %v", err)
 	}
+}
+
+// wideSrc builds a straight-line function keeping w values live
+// through blocks rounds of pairwise adds, then folding them together.
+func wideSrc(w, blocks int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "func wide(v0) {\nentry:\n")
+	next := 1
+	cur := make([]int, w)
+	for i := range cur {
+		fmt.Fprintf(&b, "  v%d = li %d\n", next, i)
+		cur[i] = next
+		next++
+	}
+	for blk := 1; blk < blocks; blk++ {
+		nxt := make([]int, w)
+		for i := range cur {
+			fmt.Fprintf(&b, "  v%d = add v%d, v%d\n", next, cur[i], cur[(i+1)%w])
+			nxt[i] = next
+			next++
+		}
+		cur = nxt
+	}
+	acc := cur[0]
+	for i := 1; i < w; i++ {
+		fmt.Fprintf(&b, "  v%d = xor v%d, v%d\n", next, acc, cur[i])
+		acc = next
+		next++
+	}
+	fmt.Fprintf(&b, "  ret v%d\n}\n", acc)
+	return b.String()
 }

@@ -187,9 +187,9 @@ func BenchmarkDiffEncode(b *testing.B) {
 }
 
 // BenchmarkRemapGreedy measures the §5 permutation search: the
-// retained map-graph baseline (legacy) against the CSR engine at one
-// and many workers. cmd/benchjson runs the same cases and persists
-// them to BENCH_remap.json.
+// retained map-graph baseline (legacy) against the CSR engine.
+// cmd/benchjson runs the same cases and persists them to
+// BENCH_remap.json.
 func BenchmarkRemapGreedy(b *testing.B) {
 	k := workloads.KernelByName("bitcount")
 	out, asn, err := irc.Allocate(k.F, irc.Options{K: 12})
@@ -204,18 +204,14 @@ func BenchmarkRemapGreedy(b *testing.B) {
 			remap.LegacyGreedy(g, opts)
 		}
 	})
-	for _, workers := range []int{1, 8} {
-		o := opts
-		o.Workers = workers
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var evals int
-			for i := 0; i < b.N; i++ {
-				evals += remap.Greedy(g, o).Evaluated
-			}
-			b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
-		})
-	}
+	b.Run("csr", func(b *testing.B) {
+		b.ReportAllocs()
+		var evals int
+		for i := 0; i < b.N; i++ {
+			evals += remap.Greedy(g, opts).Evaluated
+		}
+		b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
+	})
 }
 
 // BenchmarkModuloSchedule measures the software pipeliner on a

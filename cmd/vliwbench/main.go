@@ -10,30 +10,30 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"diffra/internal/experiments"
 )
 
 func main() {
-	cfg := experiments.DefaultVLIW()
-	flag.IntVar(&cfg.Loops, "loops", cfg.Loops, "loop population size")
-	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "population seed")
-	flag.IntVar(&cfg.Restarts, "restarts", cfg.Restarts, "kernel remapping restarts")
-	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent loop compilations (0 = GOMAXPROCS)")
-	flag.BoolVar(&cfg.Joint, "joint", false, "also run the combined scheduling x allocation branch-and-bound on optimized loops")
-	flag.IntVar(&cfg.JointMaxNodes, "joint-maxnodes", 0, "per-loop joint search budget (0 = default)")
-	jsonOut := flag.Bool("json", false, "emit the full report as JSON instead of tables")
-	flag.Parse()
+	cfg, jsonOut, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
 	rep, err := experiments.RunVLIW(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vliwbench:", err)
 		os.Exit(1)
 	}
-	if *jsonOut {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -43,4 +43,30 @@ func main() {
 		return
 	}
 	rep.WriteAll(os.Stdout)
+}
+
+// parseFlags reads the command line into a run configuration. Errors,
+// a negative -restarts included, are reported on stderr with the
+// usage text.
+func parseFlags(args []string, stderr io.Writer) (cfg experiments.VLIWConfig, jsonOut bool, err error) {
+	cfg = experiments.DefaultVLIW()
+	fs := flag.NewFlagSet("vliwbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&cfg.Loops, "loops", cfg.Loops, "loop population size")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "population seed")
+	fs.IntVar(&cfg.Restarts, "restarts", cfg.Restarts, "kernel remapping restarts")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent loop compilations (0 = GOMAXPROCS)")
+	fs.BoolVar(&cfg.Joint, "joint", false, "also run the combined scheduling x allocation branch-and-bound on optimized loops")
+	fs.IntVar(&cfg.JointMaxNodes, "joint-maxnodes", 0, "per-loop joint search budget (0 = default)")
+	fs.BoolVar(&jsonOut, "json", false, "emit the full report as JSON instead of tables")
+	if err := fs.Parse(args); err != nil {
+		return cfg, false, err
+	}
+	if cfg.Restarts < 0 {
+		err := fmt.Errorf("-restarts must be >= 0, got %d", cfg.Restarts)
+		fmt.Fprintln(stderr, "vliwbench:", err)
+		fs.Usage()
+		return cfg, false, err
+	}
+	return cfg, jsonOut, nil
 }

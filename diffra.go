@@ -110,20 +110,18 @@ type Options struct {
 	// (direct-equivalent); DiffN > RegN is rejected — the difference
 	// alphabet cannot exceed the register file (§2).
 	DiffN int
-	// Restarts bounds the remapping search (default 1000; negative is
-	// rejected).
+	// Restarts caps the remapping search (default 1000; negative is
+	// rejected). The search stops earlier once remap.Patience restarts
+	// in a row fail to improve.
 	Restarts int
-	// RemapWorkers bounds the goroutines the remapping search shards
-	// its restarts across (0: GOMAXPROCS; 1: serial). The search is
-	// deterministic at any worker count — same options, same
-	// permutation — so this only trades wall-clock time for CPU and
-	// never participates in result caching.
+	// RemapWorkers is ignored: the remapping search is serial. It is
+	// kept so existing callers still compile.
 	RemapWorkers int
 	// SpillWorkers bounds the goroutines the optimal-spill ILP solver
 	// (OSpill and Coalesce schemes) searches across (0 or 1: serial).
 	// The solver is deterministic at any worker count — same options,
-	// same spill set — so, like RemapWorkers, this only trades
-	// wall-clock time for CPU and never participates in result caching.
+	// same spill set — so this only trades wall-clock time for CPU and
+	// never participates in result caching.
 	SpillWorkers int
 	// Telemetry, when non-nil, receives one span tree per compiled
 	// function (compile → allocate/remap/refine/verify/encode/check).
@@ -491,7 +489,7 @@ func applyRemap(out *ir.Func, asn *regalloc.Assignment, opts Options, parent *te
 	g := adjacency.BuildReg(out, func(r ir.Reg) int { return asn.Color[r] }, opts.RegN)
 	perm := remap.Auto(g, remap.Options{
 		RegN: opts.RegN, DiffN: opts.DiffN, Restarts: opts.Restarts, Seed: 1,
-		Workers: opts.RemapWorkers, Trace: span, Cancel: cancel,
+		Trace: span, Cancel: cancel,
 	})
 	for v, c := range asn.Color {
 		if c >= 0 {

@@ -18,8 +18,10 @@ import (
 // Response fields, compiler output semantics, key derivation — and
 // every entry written by an older daemon silently becomes a miss and
 // is garbage-collected at the next open, instead of serving stale
-// results to a new binary.
-const SchemaVersion = 1
+// results to a new binary. Version 2: the remap search stops after
+// remap.Patience non-improving restarts, so the same key can compile
+// to different code than under version 1's fixed 1000 restarts.
+const SchemaVersion = 2
 
 // diskMagic starts every entry file; anything else is corruption.
 var diskMagic = [8]byte{'D', 'I', 'F', 'F', 'R', 'A', 'C', 0}

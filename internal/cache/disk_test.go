@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -92,7 +93,13 @@ func TestDiskStaleSchemaVersionIsReclaimed(t *testing.T) {
 	dir := t.TempDir()
 	d := mustOpen(t, dir, 1<<20)
 	d.Put("keep", []byte("current"))
-	// Forge a previous-schema entry and an abandoned temp file.
+	// Forge a well-framed entry of the previous schema, an ancient
+	// one, and an abandoned temp file.
+	prev := encodeEntry("prev", []byte("stale"))
+	binary.LittleEndian.PutUint32(prev[8:12], SchemaVersion-1)
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("prev.v%d", SchemaVersion-1)), prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "old.v0"), []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +107,10 @@ func TestDiskStaleSchemaVersionIsReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := mustOpen(t, dir, 1<<20)
-	if _, ok := d2.Get("old"); ok {
-		t.Fatal("stale-schema entry hit")
+	for _, key := range []string{"prev", "old"} {
+		if _, ok := d2.Get(key); ok {
+			t.Fatalf("stale-schema entry %q hit", key)
+		}
 	}
 	if _, ok := d2.Get("keep"); !ok {
 		t.Fatal("current-schema entry lost in rescan")

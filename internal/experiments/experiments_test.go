@@ -116,6 +116,40 @@ func TestLowEndGolden(t *testing.T) {
 	}
 }
 
+// TestLowEndFigureOrderings guards the paper's conclusions against a
+// golden regeneration: in the paper configuration, every pairwise
+// ordering of the schemes' average row in Figures 11–14 must stay as
+// it was under the fixed 1000-restart remap search. Each list names
+// the schemes from lowest to highest average.
+func TestLowEndFigureOrderings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment")
+	}
+	rep, err := RunLowEnd(DefaultLowEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	figures := []struct {
+		name      string
+		avg       func(string) float64
+		ascending []string
+	}{
+		{"fig11 spill%", rep.AvgSpillPct, []string{SchemeRemap, SchemeSelect, SchemeCoalesce, SchemeOSpill, SchemeBaseline}},
+		{"fig12 set_last_reg%", rep.AvgCostPct, []string{SchemeCoalesce, SchemeSelect, SchemeRemap}},
+		{"fig13 code size", rep.AvgCodeSize, []string{SchemeCoalesce, SchemeSelect, SchemeRemap, SchemeBaseline, SchemeOSpill}},
+		{"fig14 speedup%", rep.AvgSpeedup, []string{SchemeOSpill, SchemeRemap, SchemeCoalesce, SchemeSelect}},
+	}
+	for _, fig := range figures {
+		for i, lo := range fig.ascending {
+			for _, hi := range fig.ascending[i+1:] {
+				if a, b := fig.avg(lo), fig.avg(hi); a >= b {
+					t.Errorf("%s: %s average %.3f no longer below %s %.3f", fig.name, lo, a, hi, b)
+				}
+			}
+		}
+	}
+}
+
 func TestVLIWShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")

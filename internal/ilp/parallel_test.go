@@ -35,9 +35,9 @@ func randomInstance(rng *rand.Rand, n, cons int, withExcl bool) Problem {
 	return p
 }
 
-// TestParallelSolveMatchesSerial is the determinism contract mirrored
-// from internal/remap: over a grid of instances, every worker count
-// returns bit-identical X, Cost, Optimal AND Nodes.
+// TestParallelSolveMatchesSerial is the determinism contract: over a
+// grid of instances, every worker count returns bit-identical X, Cost,
+// Optimal AND Nodes.
 func TestParallelSolveMatchesSerial(t *testing.T) {
 	var instances []Problem
 	instances = append(instances,

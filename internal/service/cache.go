@@ -21,9 +21,10 @@ import (
 // cache — and the cluster router routes on the same key, so identical
 // IR always lands on the node that has it cached. Callers must pass
 // *resolved* options (Options.Resolved) so a request spelling out the
-// defaults and one leaving them zero share an entry. The searches'
-// worker counts are deliberately not hashed: both searches are
-// deterministic at any worker count, so they never change the response. The allocation backend IS hashed — explicit
+// defaults and one leaving them zero share an entry. Worker counts are
+// deliberately not hashed: the remap search ignores its count and the
+// spill solver is deterministic at any, so neither changes the
+// response. The allocation backend IS hashed — explicit
 // backends produce different code — but "auto" hashes as the literal
 // string, not the per-request resolution: a deadline is not content,
 // so two auto requests differing only in time budget share an entry

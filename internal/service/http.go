@@ -102,6 +102,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // emits responses in input order, flushing each one — so early
 // results reach the client while later compiles are still running.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	// An HTTP/1 server closes the request body once the response starts
+	// unless full duplex is on, so a flushed early result would cut off
+	// the lines still to be read. A writer that cannot switch returns an
+	// error; the handler then works as it did without the switch.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	dec := json.NewDecoder(body)
 	w.Header().Set("Content-Type", "application/x-ndjson")

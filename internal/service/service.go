@@ -474,9 +474,6 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	if err != nil {
 		return errResponse(err)
 	}
-	// Each compile runs its searches serially: the pool already runs one
-	// compile per worker.
-	opts.RemapWorkers, opts.SpillWorkers = 1, 1
 	f, err := ir.Parse(req.IR)
 	if err != nil {
 		return errResponse(err)
