@@ -115,13 +115,9 @@ type report struct {
 	// component ns/op is incomparable (legacy truncates at its node
 	// budget while the decomposed solver proves optimality), so the
 	// per-node throughput of the flat-arena search is the honest
-	// number there. SpeedupILPWorkers8 is the decomposed solver's
-	// serial ns/op over its 8-worker ns/op on hard-disjoint —
-	// wall-clock parallel scaling, bounded by NumCPU. (ILP suite
-	// only.)
+	// number there. (ILP suite only.)
 	SpeedupLegacySerial     float64 `json:"speedup_legacy_serial,omitempty"`
 	OverlapNodesPerSecRatio float64 `json:"overlap_nodes_per_sec_ratio,omitempty"`
-	SpeedupILPWorkers8      float64 `json:"speedup_ilp_workers_8,omitempty"`
 
 	// StageShares is the per-stage share of total compile time,
 	// aggregated over one traced compile of every kernel: for each
@@ -152,14 +148,9 @@ type report struct {
 	// ModschedJoint is the joint-vs-phased comparison over the SPEC-like
 	// loop population sample: aggregate set_last_reg and cycle totals
 	// under both pipelines, the number of loops the combined search
-	// strictly improved, and the branch-and-bound effort. The two
-	// speedup fields below are the joint solver's wall-clock scaling
-	// (workers=1 ns/op over workers=4/8 ns/op), only meaningful with
-	// NumCPU > 1 — the host block records what was available.
-	// (Modsched suite only.)
-	ModschedJoint        *modschedJointSummary `json:"modsched_joint,omitempty"`
-	SpeedupJointWorkers4 float64               `json:"speedup_joint_workers_4,omitempty"`
-	SpeedupJointWorkers8 float64               `json:"speedup_joint_workers_8,omitempty"`
+	// strictly improved, and the branch-and-bound effort. (Modsched
+	// suite only.)
+	ModschedJoint *modschedJointSummary `json:"modsched_joint,omitempty"`
 }
 
 // modschedJointSummary aggregates the joint-vs-phased deltas recorded
@@ -441,17 +432,16 @@ func runILPSuite(rep *report) {
 			}
 			reportNodes(b, nodes)
 		}))
-		for _, workers := range []int{1, 2, 8} {
-			opts := ilp.Options{MaxNodes: 50000, Workers: workers}
-			rep.Benchmarks = append(rep.Benchmarks, run(fmt.Sprintf("ILPSolve/%s/workers=%d", fam.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				nodes := 0
-				for i := 0; i < b.N; i++ {
-					nodes += ilp.Solve(fam.p, opts).Nodes
-				}
-				reportNodes(b, nodes)
-			}))
-		}
+		// The serial lane keeps its historical "workers=1" name so
+		// -baseline still pairs it with the committed BENCH_ilp.json.
+		rep.Benchmarks = append(rep.Benchmarks, run("ILPSolve/"+fam.name+"/workers=1", func(b *testing.B) {
+			b.ReportAllocs()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				nodes += ilp.Solve(fam.p, ilp.Options{MaxNodes: 50000}).Nodes
+			}
+			reportNodes(b, nodes)
+		}))
 	}
 
 	susan := workloads.KernelByName("susan")
@@ -474,9 +464,6 @@ func runILPSuite(rep *report) {
 	}
 	if legacy, serial := byName["ILPSolve/overlap/legacy"], byName["ILPSolve/overlap/workers=1"]; legacy.NodesPerSec > 0 {
 		rep.OverlapNodesPerSecRatio = serial.NodesPerSec / legacy.NodesPerSec
-	}
-	if serial, w8 := byName["ILPSolve/disjoint/workers=1"], byName["ILPSolve/disjoint/workers=8"]; w8.NsPerOp > 0 {
-		rep.SpeedupILPWorkers8 = serial.NsPerOp / w8.NsPerOp
 	}
 }
 
@@ -671,9 +658,9 @@ const (
 
 // runModschedSuite benchmarks the phased modulo-scheduling pipeline
 // against the joint scheduling × allocation branch-and-bound: a phased
-// compile lane, joint-solve lanes at workers 1/2/4/8 with nodes/sec
-// (the work-stealing engine's throughput on ONE connected instance —
-// the case component decomposition cannot split), and the aggregate
+// compile lane, a joint-solve lane with nodes/sec (the epoch engine's
+// throughput on ONE connected instance — the case component
+// decomposition cannot split), and the aggregate
 // joint-vs-phased cost deltas over the population sample.
 func runModschedSuite(rep *report) {
 	m := vliw.Default()
@@ -711,34 +698,22 @@ func runModschedSuite(rep *report) {
 	reportNodes := func(b *testing.B, nodes int) {
 		b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		rep.Benchmarks = append(rep.Benchmarks, run(fmt.Sprintf("ModschedJoint/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			nodes := 0
-			for i := 0; i < b.N; i++ {
-				r, err := modsched.SolveJoint(hard, m, 16, 4, modsched.JointOptions{
-					Restarts: 40, Seed: 42, MaxNodes: modschedBenchNodes, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += r.Nodes
+	// The lane keeps its historical "workers=1" name so -baseline
+	// still pairs it with the committed BENCH_modsched.json.
+	rep.Benchmarks = append(rep.Benchmarks, run("ModschedJoint/workers=1", func(b *testing.B) {
+		b.ReportAllocs()
+		nodes := 0
+		for i := 0; i < b.N; i++ {
+			r, err := modsched.SolveJoint(hard, m, 16, 4, modsched.JointOptions{
+				Restarts: 40, Seed: 42, MaxNodes: modschedBenchNodes,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			reportNodes(b, nodes)
-		}))
-	}
-
-	byName := map[string]result{}
-	for _, r := range rep.Benchmarks {
-		byName[r.Name] = r
-	}
-	if serial, w4 := byName["ModschedJoint/workers=1"], byName["ModschedJoint/workers=4"]; w4.NsPerOp > 0 {
-		rep.SpeedupJointWorkers4 = serial.NsPerOp / w4.NsPerOp
-	}
-	if serial, w8 := byName["ModschedJoint/workers=1"], byName["ModschedJoint/workers=8"]; w8.NsPerOp > 0 {
-		rep.SpeedupJointWorkers8 = serial.NsPerOp / w8.NsPerOp
-	}
+			nodes += r.Nodes
+		}
+		reportNodes(b, nodes)
+	}))
 
 	// Population-level deltas: one RegN sweep point with the joint
 	// search on, reusing the experiment driver so the numbers match

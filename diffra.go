@@ -117,11 +117,8 @@ type Options struct {
 	// RemapWorkers is ignored: the remapping search is serial. It is
 	// kept so existing callers still compile.
 	RemapWorkers int
-	// SpillWorkers bounds the goroutines the optimal-spill ILP solver
-	// (OSpill and Coalesce schemes) searches across (0 or 1: serial).
-	// The solver is deterministic at any worker count — same options,
-	// same spill set — so this only trades wall-clock time for CPU and
-	// never participates in result caching.
+	// SpillWorkers is ignored: the optimal-spill ILP search is serial.
+	// It is kept so existing callers still compile.
 	SpillWorkers int
 	// Telemetry, when non-nil, receives one span tree per compiled
 	// function (compile → allocate/remap/refine/verify/encode/check).
@@ -349,9 +346,9 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 		}
 	case AllocOSpill:
 		if opts.Scheme == Coalesce {
-			out, asn, _, err = diffcoal.Allocate(f, diffcoal.Options{RegN: opts.RegN, DiffN: opts.DiffN, SpillWorkers: opts.SpillWorkers, Trace: alloc, Cancel: cancelled})
+			out, asn, _, err = diffcoal.Allocate(f, diffcoal.Options{RegN: opts.RegN, DiffN: opts.DiffN, Trace: alloc, Cancel: cancelled})
 		} else {
-			out, asn, _, err = ospill.Allocate(f, ospill.Options{K: opts.RegN, Workers: opts.SpillWorkers, Trace: alloc, Cancel: cancelled})
+			out, asn, _, err = ospill.Allocate(f, ospill.Options{K: opts.RegN, Trace: alloc, Cancel: cancelled})
 		}
 	default: // AllocIRC
 		io := irc.Options{K: opts.RegN, Trace: alloc, Scratch: opts.Scratch}

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"diffra"
 	"diffra/internal/ir"
 	"diffra/internal/service"
 	"diffra/internal/telemetry"
@@ -156,22 +155,17 @@ func (rt *Router) Handler() http.Handler {
 }
 
 // RouteKey derives the routing key for a raw /compile request body:
-// the same content-addressed service.CacheKey the backends cache
-// under, so a key always routes to the node that has it. Bodies that
-// fail to decode, parse, or resolve hash as raw bytes instead — the
-// owner backend then reports the error, and identical broken requests
-// still dedupe.
+// the same content-addressed service.CacheKey the backends cache under
+// (for backends with an empty Config.Alloc), so a key always routes to
+// the node that has it. Bodies that fail to decode, parse, or resolve
+// hash as raw bytes instead — the owner backend then reports the
+// error, and identical broken requests still dedupe.
 func RouteKey(body []byte) string {
 	var req service.Request
 	if err := json.Unmarshal(body, &req); err != nil {
 		return rawKey(body)
 	}
-	opts, err := diffra.Options{
-		Scheme:   diffra.Scheme(req.Scheme),
-		RegN:     req.RegN,
-		DiffN:    req.DiffN,
-		Restarts: req.Restarts,
-	}.Resolved()
+	opts, err := req.Options("")
 	if err != nil {
 		return rawKey(body)
 	}

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"diffra"
+	"diffra/internal/ir"
 	"diffra/internal/service"
 	"diffra/internal/telemetry"
 )
@@ -453,4 +455,32 @@ func TestRouteKeyStability(t *testing.T) {
 func mustJSON(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
+}
+
+// TestRouteKeyMatchesBackendCacheKey: for every alloc a request can
+// name, the router's key is the key a default-configured backend
+// caches the request under, so an "alloc":"ssa" request routes to the
+// node holding its ssa entry and not to the owner of the default
+// backend's.
+func TestRouteKeyMatchesBackendCacheKey(t *testing.T) {
+	f, err := ir.Parse(tinyIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]string{}
+	for _, alloc := range []string{"", "irc", "ssa", "auto"} {
+		body, _ := json.Marshal(service.Request{IR: tinyIR, Scheme: "select", RegN: 8, DiffN: 4, Alloc: alloc})
+		opts, err := diffra.Options{Scheme: diffra.Select, Alloc: diffra.Backend(alloc), RegN: 8, DiffN: 4}.Resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := service.CacheKey(f, opts, false, false)
+		if got := RouteKey(body); got != want {
+			t.Errorf("alloc %q: route key %s, backend cache key %s", alloc, got, want)
+		}
+		keys[alloc] = want
+	}
+	if keys["ssa"] == keys[""] || keys["auto"] == keys[""] {
+		t.Fatal("explicit ssa/auto requests share the default backend's cache key")
+	}
 }

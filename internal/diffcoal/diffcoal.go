@@ -35,9 +35,8 @@ type Options struct {
 	// MaxNodes caps the spill ILP per independently-solved work item
 	// (0: solver default).
 	MaxNodes int
-	// SpillWorkers is the goroutine count for the spill ILP's
-	// deterministic parallel search (0 or 1: serial). The spill set is
-	// bit-identical at any worker count.
+	// SpillWorkers is ignored: the spill ILP search is serial. It is
+	// kept so existing callers still compile.
 	SpillWorkers int
 	// MaxRounds bounds fallback spill rounds (0: 16).
 	MaxRounds int
@@ -90,7 +89,7 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 
 	work := f.Clone()
 	ilpSpan := opts.Trace.Child("ilp")
-	spills, spillStats := ospill.DecideSpillsCancel(work, opts.RegN, opts.MaxNodes, opts.SpillWorkers, opts.Cancel)
+	spills, spillStats := ospill.DecideSpillsCancel(work, opts.RegN, opts.MaxNodes, opts.Cancel)
 	ilpSpan.Add("constraints", int64(spillStats.Constraints))
 	ilpSpan.Add("nodes", int64(spillStats.ILPNodes))
 	ilpSpan.Add("components", int64(spillStats.ILPComponents))

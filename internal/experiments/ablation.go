@@ -10,8 +10,8 @@ import (
 	"diffra/internal/ir"
 	"diffra/internal/irc"
 	"diffra/internal/pipeline"
+	"diffra/internal/pool"
 	"diffra/internal/regalloc"
-	"diffra/internal/service"
 	"diffra/internal/workloads"
 )
 
@@ -41,7 +41,7 @@ type SelectiveResult struct {
 func RunSelective(cfg LowEndConfig) ([]SelectiveResult, error) {
 	kernels := workloads.Kernels()
 	out := make([]SelectiveResult, len(kernels))
-	err := service.NewPool(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
+	err := pool.New(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
 		k := &kernels[i]
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
@@ -105,7 +105,7 @@ type AlternativeResult struct {
 func RunAlternatives(cfg LowEndConfig) ([]AlternativeResult, error) {
 	kernels := workloads.Kernels()
 	out := make([]AlternativeResult, len(kernels))
-	err := service.NewPool(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
+	err := pool.New(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
 		k := &kernels[i]
 		alloc, asn, err := irc.Allocate(k.F, irc.Options{
 			K:             cfg.RegN,

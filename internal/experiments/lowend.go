@@ -12,7 +12,7 @@ import (
 	"diffra"
 	"diffra/internal/encode"
 	"diffra/internal/pipeline"
-	"diffra/internal/service"
+	"diffra/internal/pool"
 	"diffra/internal/workloads"
 )
 
@@ -142,13 +142,13 @@ func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 	for _, k := range kernels {
 		rep.Kernels = append(rep.Kernels, k.Name)
 	}
-	pool := service.NewPool(cfg.Workers)
+	wp := pool.New(cfg.Workers)
 	ctx := context.Background()
 
 	// Reference runs, one per kernel, on virtual registers. The
 	// pipeline machine keeps per-run state, so each task builds its own.
 	refs := make([]int64, len(kernels))
-	err := pool.Map(ctx, len(kernels), func(i int) error {
+	err := wp.Map(ctx, len(kernels), func(i int) error {
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
 			return err
@@ -166,7 +166,7 @@ func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 
 	// The kernel×scheme grid.
 	cells := make([]*KernelResult, len(kernels)*len(schemes))
-	err = pool.Map(ctx, len(cells), func(c int) error {
+	err = wp.Map(ctx, len(cells), func(c int) error {
 		k, scheme := &kernels[c/len(schemes)], schemes[c%len(schemes)]
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
@@ -240,41 +240,4 @@ func runKernelScheme(mach *pipeline.Machine, k *workloads.Kernel, scheme string,
 		Cycles:      st.Cycles,
 		Ret:         ret,
 	}, nil
-}
-
-// LowEndBatch compiles the §10.1 kernel×scheme grid through a compile
-// server's batch path instead of in-process, returning the static
-// measurements the service reports (scheme -> kernel -> response; no
-// simulation — dynamic numbers need RunLowEnd). It is the
-// service-parity entry point: with the default config the responses'
-// static counts match RunLowEnd's cell for cell.
-func LowEndBatch(ctx context.Context, srv *service.Server, cfg LowEndConfig) (map[string]map[string]service.Response, error) {
-	schemes := Schemes()
-	kernels := workloads.Kernels()
-	var reqs []service.Request
-	for i := range kernels {
-		src := kernels[i].F.String()
-		for _, scheme := range schemes {
-			opts, err := cellOptions(scheme, cfg)
-			if err != nil {
-				return nil, err
-			}
-			reqs = append(reqs, service.Request{
-				IR: src, Scheme: string(opts.Scheme), RegN: opts.RegN, DiffN: opts.DiffN, Restarts: opts.Restarts,
-			})
-		}
-	}
-	resps := srv.ServeBatch(ctx, reqs)
-	out := map[string]map[string]service.Response{}
-	for _, s := range schemes {
-		out[s] = map[string]service.Response{}
-	}
-	for i, resp := range resps {
-		k, scheme := kernels[i/len(schemes)].Name, schemes[i%len(schemes)]
-		if resp.Error != "" {
-			return nil, fmt.Errorf("%s/%s: %s", k, scheme, resp.Error)
-		}
-		out[scheme][k] = resp
-	}
-	return out, nil
 }

@@ -11,9 +11,9 @@ import (
 	"diffra/internal/ir"
 	"diffra/internal/irc"
 	"diffra/internal/pipeline"
+	"diffra/internal/pool"
 	"diffra/internal/regalloc"
 	"diffra/internal/remap"
-	"diffra/internal/service"
 	"diffra/internal/workloads"
 )
 
@@ -40,7 +40,7 @@ type ProfileResult struct {
 func RunProfileGuided(cfg LowEndConfig) ([]ProfileResult, error) {
 	kernels := workloads.Kernels()
 	out := make([]ProfileResult, len(kernels))
-	err := service.NewPool(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
+	err := pool.New(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
 			return err

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"diffra/internal/modsched"
-	"diffra/internal/service"
+	"diffra/internal/pool"
 	"diffra/internal/vliw"
 	"diffra/internal/workloads"
 )
@@ -109,14 +109,14 @@ func RunVLIW(cfg VLIWConfig) (*VLIWReport, error) {
 	m := vliw.Default()
 	loops := workloads.SPECLoops(cfg.Seed, cfg.Loops)
 	rep := &VLIWReport{Config: cfg}
-	pool := service.NewPool(cfg.Workers)
+	wp := pool.New(cfg.Workers)
 	ctx := context.Background()
 
 	// Baseline pass: every loop scheduled independently over the pool,
 	// then a sequential reduce so the floating-point sums stay in loop
 	// order (bit-identical reports at any worker count).
 	bases := make([]loopBaseline, len(loops))
-	err := pool.Map(ctx, len(loops), func(i int) error {
+	err := wp.Map(ctx, len(loops), func(i int) error {
 		free, err := modsched.Compile(loops[i], m, 1<<30)
 		if err != nil {
 			return fmt.Errorf("loop %d (free): %w", i, err)
@@ -164,7 +164,7 @@ func RunVLIW(cfg VLIWConfig) (*VLIWReport, error) {
 	for _, regN := range cfg.RegNs {
 		row := VLIWRow{RegN: regN}
 		cells := make([]loopCell, len(bases))
-		err := pool.Map(ctx, len(bases), func(i int) error {
+		err := wp.Map(ctx, len(bases), func(i int) error {
 			b := &bases[i]
 			if !b.optimized {
 				return nil

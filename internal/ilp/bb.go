@@ -59,8 +59,8 @@ type chunkResult struct {
 // for at most chunk nodes. bound is the epoch's incumbent bound for
 // the component (broadcast at the barrier) — the same value for every
 // item of the component in that epoch, so the outcome is a pure
-// function of (fixes, bound) and independent of which worker runs it
-// or in what order.
+// function of (fixes, bound) and independent of the order items run
+// in.
 func (s *bbState) solveChunk(fixes []varFix, bound float64, chunk int, cancel func() bool) chunkResult {
 	c := s.c
 	for i := range s.x {

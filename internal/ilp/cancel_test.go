@@ -67,30 +67,27 @@ func TestLegacyCancelStopsSearch(t *testing.T) {
 	assertFeasible(t, p, sol.X)
 }
 
-// TestParallelCancelPollingBound: every worker polls Cancel before
-// each claimed work item and about every 64 nodes inside a search, so
-// after the hook starts returning true the whole solve stops within
-// ~64 nodes per outstanding false poll plus one final poll per worker.
+// TestParallelCancelPollingBound: the search polls Cancel before each
+// work item and about every 64 nodes inside one, so after the hook
+// starts returning true the solve stops within ~64 nodes per
+// outstanding false poll plus one final poll.
 func TestParallelCancelPollingBound(t *testing.T) {
 	p := HardOverlap(8, 12, 6)
-	for _, workers := range []int{1, 4, 8} {
-		var polls atomic.Int64
-		cancel := func() bool { return polls.Add(1) > 16 }
-		sol := Solve(p, Options{MaxNodes: 100000, Workers: workers, Cancel: cancel})
-		if !sol.Cancelled {
-			t.Fatalf("workers=%d: Cancelled not reported", workers)
-		}
-		if sol.Optimal {
-			t.Fatalf("workers=%d: cancelled solve claims optimality", workers)
-		}
-		// At most 16 polls return false; each false poll licenses at
-		// most 64 further nodes on its worker, plus one poll per item
-		// claim that explores nothing.
-		if limit := 64 * (16 + workers); sol.Nodes > limit {
-			t.Fatalf("workers=%d: explored %d nodes after cancel, want <= %d", workers, sol.Nodes, limit)
-		}
-		assertFeasible(t, p, sol.X)
+	var polls atomic.Int64
+	cancel := func() bool { return polls.Add(1) > 16 }
+	sol := Solve(p, Options{MaxNodes: 100000, Cancel: cancel})
+	if !sol.Cancelled {
+		t.Fatal("Cancelled not reported")
 	}
+	if sol.Optimal {
+		t.Fatal("cancelled solve claims optimality")
+	}
+	// At most 16 polls return false; each false poll licenses at most
+	// 64 further nodes, plus one poll per item that explores nothing.
+	if limit := 64 * (16 + 1); sol.Nodes > limit {
+		t.Fatalf("explored %d nodes after cancel, want <= %d", sol.Nodes, limit)
+	}
+	assertFeasible(t, p, sol.X)
 }
 
 func TestNilCancelUnchanged(t *testing.T) {

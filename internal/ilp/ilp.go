@@ -16,12 +16,11 @@
 // components, and searches each component with a trail-based branch
 // and bound using an incrementally-maintained disjoint-sum lower
 // bound. The search runs in fixed-size node chunks on a deterministic
-// work-stealing scheduler (steal.go): a chunk that exhausts its budget
-// serializes its unexplored frontier into new work items, and
-// incumbent bounds broadcast at epoch barriers, so the item population
-// adapts to where the instance is hard — including connected instances
-// decomposition cannot split — while X, Cost, Optimal, Nodes and
-// Pruned stay bit-identical at any Options.Workers. The
+// epoch engine (steal.go): a chunk that exhausts its budget serializes
+// its unexplored frontier into new work items, and incumbent bounds
+// broadcast at epoch barriers, so the item population adapts to where
+// the instance is hard — including connected instances decomposition
+// cannot split — while the node budget stays exact. The
 // pre-decomposition solver is retained as LegacySolve (benchmark
 // baseline and quality oracle).
 package ilp
@@ -70,24 +69,16 @@ type Problem struct {
 // Options bounds the search.
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes per connected component
-	// (0: 500000). The scheduler's admission control keeps the
-	// deterministic overshoot under about one chunk, so the budget —
-	// like everything else in Solution — is independent of the worker
-	// count.
+	// (0: 500000). The epoch engine's admission control enforces it
+	// exactly.
 	MaxNodes int
-	// Cancel, when non-nil, is polled about every 64 nodes by every
-	// worker; returning true aborts the search. The solution reports
-	// Cancelled and holds the best incumbent found so far (always
-	// feasible when non-nil).
+	// Cancel, when non-nil, is polled before each work item and about
+	// every 64 nodes inside one; returning true aborts the search. The
+	// solution reports Cancelled and holds the best incumbent found so
+	// far (always feasible when non-nil).
 	Cancel func() bool
-	// Workers is the number of goroutines solving work items
-	// concurrently (0 or 1: serial). The result is bit-identical at
-	// any worker count.
-	Workers int
-	// Stats, when non-nil, accumulates work-stealing scheduler
-	// telemetry (steals, epochs, bound broadcasts, items). Steal
-	// counts are timing-dependent, which is why they are reported
-	// here and not in Solution.
+	// Stats, when non-nil, accumulates the epoch engine's schedule
+	// (epochs, bound broadcasts, items).
 	Stats *StealStats
 }
 
@@ -101,7 +92,7 @@ type Solution struct {
 	// Cancelled is true when Options.Cancel aborted the search.
 	Cancelled bool
 	// Nodes is the number of branch-and-bound nodes explored, summed
-	// across all work items (worker-count independent).
+	// across all work items.
 	Nodes int
 	// Components is the number of connected components the constraint
 	// hypergraph decomposed into after preprocessing.
@@ -141,7 +132,7 @@ func Solve(p Problem, opts Options) Solution {
 
 	outs := solveSteal(pre, maxNodes, opts)
 
-	// The steal engine already reduced per component (best incumbent by
+	// The epoch engine already reduced per component (best incumbent by
 	// (cost, lowest item index), bounds broadcast at epoch barriers);
 	// assemble the global assignment with the greedy incumbent backing
 	// any component whose search improved on nothing.

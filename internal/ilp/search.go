@@ -1,13 +1,12 @@
 package ilp
 
-// Work items are the unit of parallelism: each is a root-fixed subtree
-// of one component (epoch 0: the whole component, no fixes). Items are
-// produced by the search itself — a chunk that exhausts its node
-// budget serializes its unexplored frontier into child items — and
-// scheduled by the deterministic work-stealing engine in steal.go, so
-// the item population adapts to where the instance is actually hard
-// instead of being guessed up front. X, Cost, Optimal, Nodes and
-// Pruned remain bit-identical at any worker count.
+// Work items are the unit of search scheduling: each is a root-fixed
+// subtree of one component (epoch 0: the whole component, no fixes).
+// Items are produced by the search itself — a chunk that exhausts its
+// node budget serializes its unexplored frontier into child items —
+// and scheduled by the deterministic epoch engine in steal.go, so the
+// item population adapts to where the instance is actually hard
+// instead of being guessed up front.
 
 // varFix is one root decision of a work item: variable v fixed to 1
 // (with exclusivity propagation) or to 0.
@@ -21,8 +20,8 @@ type workItem struct {
 	fixes []varFix
 }
 
-// solveSteal runs the decomposed search on the work-stealing engine:
-// one group per component, seeded with one fix-free item each and the
+// solveSteal runs the decomposed search on the epoch engine: one
+// group per component, seeded with one fix-free item each and the
 // component greedy cost as the starting incumbent bound.
 func solveSteal(pre *preprocessed, maxNodes int, opts Options) []GroupOut[[]bool] {
 	items := make([]workItem, len(pre.comps))
@@ -31,32 +30,21 @@ func solveSteal(pre *preprocessed, maxNodes int, opts Options) []GroupOut[[]bool
 		items[ci] = workItem{comp: ci}
 		bounds[ci] = c.greedyCost
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Per-worker scratch arenas, keyed by component; each index is
-	// only ever touched by the goroutine running as worker w.
-	states := make([]map[int]*bbState, workers)
+	// Scratch arenas, one per component, built on first use.
+	states := map[int]*bbState{}
 	return RunSteal(StealConfig[workItem, []bool]{
 		Groups:   len(pre.comps),
 		GroupOf:  func(it workItem) int { return it.comp },
 		Items:    items,
 		Bound:    bounds,
 		MaxNodes: maxNodes,
-		Workers:  workers,
 		Cancel:   opts.Cancel,
 		Stats:    opts.Stats,
-		Run: func(w int, it workItem, bound float64, chunk int) ChunkOut[workItem, []bool] {
-			m := states[w]
-			if m == nil {
-				m = map[int]*bbState{}
-				states[w] = m
-			}
-			st := m[it.comp]
+		Run: func(it workItem, bound float64, chunk int) ChunkOut[workItem, []bool] {
+			st := states[it.comp]
 			if st == nil {
 				st = newBBState(pre.comps[it.comp])
-				m[it.comp] = st
+				states[it.comp] = st
 			}
 			r := st.solveChunk(it.fixes, bound, chunk, opts.Cancel)
 			out := ChunkOut[workItem, []bool]{

@@ -2,6 +2,8 @@ package ilp
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -35,38 +37,40 @@ func randomInstance(rng *rand.Rand, n, cons int, withExcl bool) Problem {
 	return p
 }
 
-// TestParallelSolveMatchesSerial is the determinism contract: over a
-// grid of instances, every worker count returns bit-identical X, Cost,
-// Optimal AND Nodes.
+// TestParallelSolveMatchesSerial: Solve keeps no shared state, so
+// concurrent solves — the compile service runs one per in-flight
+// ospill or coalesce request — return exactly what the same solves
+// return one at a time: X, Cost, Optimal and the effort counters.
 func TestParallelSolveMatchesSerial(t *testing.T) {
-	var instances []Problem
-	instances = append(instances,
+	instances := []Problem{
 		HardDisjoint(8, 12, 6),
 		HardOverlap(8, 12, 6),
 		HardOverlap(6, 10, 5),
-	)
+	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		instances = append(instances, randomInstance(rng, 10+rng.Intn(30), 4+rng.Intn(12), trial%2 == 1))
 	}
-	for idx, p := range instances {
-		// A small budget on the hard instances also pins down the
-		// budget-exhaustion path (Optimal=false) across worker counts.
-		serial := Solve(p, Options{MaxNodes: 3000, Workers: 1})
-		for _, workers := range []int{2, 8} {
-			got := Solve(p, Options{MaxNodes: 3000, Workers: workers})
-			if got.Cost != serial.Cost || got.Optimal != serial.Optimal || got.Nodes != serial.Nodes ||
-				got.Components != serial.Components || got.Reductions != serial.Reductions || got.Pruned != serial.Pruned {
-				t.Fatalf("instance %d workers=%d: %+v != serial %+v", idx, workers, got, serial)
-			}
-			if (got.X == nil) != (serial.X == nil) {
-				t.Fatalf("instance %d workers=%d: X nil-ness differs", idx, workers)
-			}
-			for v := range serial.X {
-				if got.X[v] != serial.X[v] {
-					t.Fatalf("instance %d workers=%d: X[%d] differs", idx, workers, v)
-				}
-			}
+	// A small budget on the hard instances also covers the
+	// budget-exhaustion path (Optimal=false).
+	opts := Options{MaxNodes: 3000}
+	serial := make([]Solution, len(instances))
+	for i, p := range instances {
+		serial[i] = Solve(p, opts)
+	}
+	got := make([]Solution, len(instances))
+	var wg sync.WaitGroup
+	for i, p := range instances {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Solve(p, opts)
+		}()
+	}
+	wg.Wait()
+	for i := range instances {
+		if !reflect.DeepEqual(got[i], serial[i]) {
+			t.Fatalf("instance %d: concurrent %+v != serial %+v", i, got[i], serial[i])
 		}
 	}
 }
@@ -152,10 +156,8 @@ func TestInfeasibleByExclusivity(t *testing.T) {
 		},
 		Exclusive: [][]int{{0, 1}},
 	}
-	for _, workers := range []int{1, 2} {
-		sol := Solve(p, Options{Workers: workers})
-		if sol.X != nil || sol.Optimal {
-			t.Fatalf("workers=%d: infeasible instance reported %+v", workers, sol)
-		}
+	sol := Solve(p, Options{})
+	if sol.X != nil || sol.Optimal {
+		t.Fatalf("infeasible instance reported %+v", sol)
 	}
 }

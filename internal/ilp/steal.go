@@ -1,47 +1,33 @@
 package ilp
 
-// Deterministic work-stealing scheduler for branch-and-bound searches.
+// Deterministic epoch engine for branch-and-bound searches.
 //
-// The PR 5 protocol split every instance into a FIXED work-item list up
-// front and claimed items off an atomic counter. That scales only when
-// the split guesses the hard subtrees correctly; on a connected
-// instance whose difficulty concentrates in one region — the joint
-// modulo-scheduling model is the standing example — most pre-split
-// items finish instantly and one worker grinds the rest alone. This
-// engine replaces the static split with dynamic frontier splitting
-// scheduled by work stealing, while keeping the solver's determinism
-// contract: the returned solution is bit-identical at any worker count.
-//
-// The determinism argument, in three invariants:
+// A fixed work-item list split up front only helps when the split
+// guesses the hard subtrees correctly; on a connected instance whose
+// difficulty concentrates in one region — the joint modulo-scheduling
+// model is the standing example — most items finish instantly and one
+// grinds on alone. This engine splits the frontier dynamically instead,
+// in epochs, and keeps the search bit-deterministic with an exact node
+// budget. Three invariants carry that:
 //
 //  1. Work items are generated deterministically. Search runs in
 //     epochs. An item searched within an epoch runs for at most a fixed
 //     node chunk; when the chunk expires, the item's unexplored
 //     frontier is serialized into child items (a pure function of the
-//     item and the epoch's incumbent bound, never of the worker or the
-//     clock). The children of epoch e, in item order, seed epoch e+1.
+//     item and the epoch's incumbent bound, never of the clock). The
+//     children of epoch e, in item order, seed epoch e+1.
 //  2. Incumbents broadcast only at epoch barriers. Every item of epoch
 //     e starts from the same bound B_e[group] — the best cost proved by
 //     epochs < e ("epoch-stamped bound tightening"). A better incumbent
 //     found mid-epoch tightens nothing until the barrier, so an item's
-//     node count cannot depend on a neighbour's timing.
+//     node count depends only on the item and that bound.
 //  3. The reduce is order-fixed. Item results are reduced in item-index
 //     order: ties between equal-cost incumbents resolve to the lowest
 //     item index, and node/prune counters are summed in the same fixed
 //     order.
 //
-// Within an epoch, items are dealt round-robin onto per-worker deques;
-// an idle worker first drains its own deque from the bottom, then
-// steals from the top of its victims' deques in fixed order (w+1, w+2,
-// ... mod W). Stealing moves only *which goroutine* runs an item —
-// by invariants 1–3 it cannot move the result, so the steal count is
-// the single timing-dependent output, and it is reported through
-// StealStats rather than the Solution.
-
-import (
-	"sync"
-	"sync/atomic"
-)
+// Admission control makes MaxNodes an exact per-group cap. The items
+// of an epoch run serially, in item order.
 
 // stealChunkNodes is the node budget of one work-item chunk. Small
 // enough that the frontier re-splits (and the incumbent re-broadcasts)
@@ -49,14 +35,9 @@ import (
 // per-chunk replay of root fixes is noise.
 const stealChunkNodes = 2048
 
-// StealStats reports scheduler behaviour for telemetry. Epochs,
-// Broadcasts and Items are deterministic at any worker count; Steals
-// depends on scheduling timing and is excluded from the solver's
-// determinism contract (which is why it lives here and NOT in
-// Solution).
+// StealStats reports the epoch schedule for telemetry. Every field is
+// deterministic.
 type StealStats struct {
-	// Steals counts items a worker took from another worker's deque.
-	Steals int64
 	// Epochs is the number of barrier-synchronized search rounds.
 	Epochs int64
 	// Broadcasts counts incumbent bound tightenings applied at epoch
@@ -74,7 +55,6 @@ func (s *StealStats) add(o StealStats) {
 	if s == nil {
 		return
 	}
-	s.Steals += o.Steals
 	s.Epochs += o.Epochs
 	s.Broadcasts += o.Broadcasts
 	s.Items += o.Items
@@ -100,10 +80,9 @@ type ChunkOut[I, P any] struct {
 }
 
 // StealConfig configures one RunSteal invocation. Run must be a pure
-// function of (item, bound) up to the per-worker scratch state selected
-// by w — it may NOT depend on timing, on other items, or on w in any
-// way that changes its output; the engine's determinism guarantee is
-// conditional on that contract.
+// function of (item, bound, chunk) — it may NOT depend on timing or on
+// other items; the engine's determinism guarantee is conditional on
+// that contract.
 type StealConfig[I, P any] struct {
 	// Groups is the number of independent solution groups (connected
 	// components for the spill ILP; 1 for the joint scheduler). Each
@@ -121,11 +100,10 @@ type StealConfig[I, P any] struct {
 	// remainder. A group whose budget hits zero with pending work left
 	// is marked Exhausted and its frontier is dropped.
 	MaxNodes int
-	Workers  int
 	Cancel   func() bool
 	// Run searches one item for at most chunk nodes against the given
 	// incumbent bound.
-	Run   func(w int, it I, bound float64, chunk int) ChunkOut[I, P]
+	Run   func(it I, bound float64, chunk int) ChunkOut[I, P]
 	Stats *StealStats
 }
 
@@ -141,14 +119,10 @@ type GroupOut[P any] struct {
 }
 
 // RunSteal drives the epoch loop: admit pending items under the node
-// budget, schedule them across the workers' deques, barrier, reduce in
-// item order, broadcast the tightened bounds, and go again on the
-// frontier the epoch emitted.
+// budget, run them against the epoch's bounds, reduce in item order,
+// broadcast the tightened bounds, and go again on the frontier the
+// epoch emitted.
 func RunSteal[I, P any](cfg StealConfig[I, P]) []GroupOut[P] {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	outs := make([]GroupOut[P], cfg.Groups)
 	bound := append([]float64(nil), cfg.Bound...)
 	nodesUsed := make([]int, cfg.Groups)
@@ -198,7 +172,17 @@ func RunSteal[I, P any](cfg StealConfig[I, P]) []GroupOut[P] {
 		}
 		stats.Epochs++
 		stats.Items += int64(len(items))
-		results := runEpoch(cfg, items, chunks, bound, workers, &stats, &cancelled)
+
+		// Every item runs against the bounds the epoch started with;
+		// the reduce below tightens them only after the whole epoch.
+		results := make([]ChunkOut[I, P], len(items))
+		for idx, it := range items {
+			if cancelled || (cfg.Cancel != nil && cfg.Cancel()) {
+				results[idx] = ChunkOut[I, P]{Cancelled: true}
+				continue
+			}
+			results[idx] = cfg.Run(it, bound[cfg.GroupOf(it)], chunks[idx])
+		}
 
 		for idx := range results {
 			r := &results[idx]
@@ -226,100 +210,4 @@ func RunSteal[I, P any](cfg StealConfig[I, P]) []GroupOut[P] {
 	}
 	cfg.Stats.add(stats)
 	return outs
-}
-
-// runEpoch executes one epoch's fixed item list and returns the
-// per-item results (indexed slots, one writer each). The serial path
-// and the deque path produce identical results because item outcomes
-// do not depend on execution order within an epoch.
-func runEpoch[I, P any](cfg StealConfig[I, P], items []I, chunks []int, bound []float64, workers int, stats *StealStats, cancelled *bool) []ChunkOut[I, P] {
-	results := make([]ChunkOut[I, P], len(items))
-	runOne := func(w, idx int) {
-		// cancelled is only written between epochs, so reading it from
-		// the workers is race-free.
-		if *cancelled || (cfg.Cancel != nil && cfg.Cancel()) {
-			results[idx] = ChunkOut[I, P]{Cancelled: true}
-			return
-		}
-		results[idx] = cfg.Run(w, items[idx], bound[cfg.GroupOf(items[idx])], chunks[idx])
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers == 1 {
-		for idx := range items {
-			runOne(0, idx)
-		}
-		return results
-	}
-
-	// Deal items round-robin: deque w holds indices w, w+W, w+2W, ...
-	// in FIFO order from the top.
-	deques := make([]workDeque, workers)
-	for idx := range items {
-		w := idx % workers
-		deques[w].items = append(deques[w].items, idx)
-	}
-	var steals atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				idx, ok := deques[w].popBottom()
-				if !ok {
-					// Own deque drained: steal from victims in fixed
-					// order w+1, w+2, ... mod W, taking the oldest item
-					// (the top) to keep contention off the victim's
-					// working end.
-					for d := 1; d < workers; d++ {
-						idx, ok = deques[(w+d)%workers].popTop()
-						if ok {
-							steals.Add(1)
-							break
-						}
-					}
-				}
-				if !ok {
-					return
-				}
-				runOne(w, idx)
-			}
-		}(w)
-	}
-	wg.Wait()
-	stats.Steals += steals.Load()
-	return results
-}
-
-// workDeque is a per-worker double-ended queue of item indices. A
-// mutex suffices: operations are per-chunk (thousands of search nodes),
-// not per-node, so contention is negligible next to the search itself.
-type workDeque struct {
-	mu    sync.Mutex
-	items []int
-}
-
-func (d *workDeque) popBottom() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == 0 {
-		return 0, false
-	}
-	idx := d.items[n-1]
-	d.items = d.items[:n-1]
-	return idx, true
-}
-
-func (d *workDeque) popTop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	idx := d.items[0]
-	d.items = d.items[1:]
-	return idx, true
 }

@@ -29,18 +29,14 @@ func BenchmarkModschedPhased(b *testing.B) {
 func BenchmarkModschedJoint(b *testing.B) {
 	m := vliw.Default()
 	l := benchLoop()
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "workers=1", 4: "workers=4"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			nodes := 0
-			for i := 0; i < b.N; i++ {
-				r, err := SolveJoint(l, m, 10, 4, JointOptions{Restarts: 40, Seed: 1, MaxNodes: 20000, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += r.Nodes
-			}
-			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-		})
+	b.ReportAllocs()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		r, err := SolveJoint(l, m, 10, 4, JointOptions{Restarts: 40, Seed: 1, MaxNodes: 20000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += r.Nodes
 	}
+	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 }

@@ -8,7 +8,7 @@ package modsched
 // branch-and-bound whose objective is lexicographic
 // (cycles, set_last_reg count), seeded with the phased result as the
 // warm incumbent so it can never do worse, and run on the
-// deterministic work-stealing engine from internal/ilp — the standing
+// deterministic epoch engine from internal/ilp — the standing
 // stress test for that engine, because a loop instance is one
 // connected problem that component decomposition cannot split.
 //
@@ -28,7 +28,7 @@ package modsched
 // force every chain), and the partial set_last_reg count only grows as
 // registers are assigned. Candidate ENUMERATION is bound-independent —
 // pruning happens at descent — so a suspended chunk's frontier means
-// the same thing in any epoch, which the steal engine's determinism
+// the same thing in any epoch, which the epoch engine's determinism
 // argument requires.
 
 import (
@@ -59,11 +59,8 @@ type JointOptions struct {
 	// the search is exact over the windowed decision space; past it
 	// the incumbent (never worse than phased) is returned.
 	MaxNodes int
-	// Workers parallelizes the search; results are bit-identical at
-	// any worker count.
-	Workers int
-	Cancel  func() bool
-	// Stats accumulates work-stealing scheduler telemetry.
+	Cancel   func() bool
+	// Stats accumulates the epoch engine's schedule telemetry.
 	Stats *ilp.StealStats
 	// Trace, when non-nil, receives a "joint" child span carrying the
 	// search effort and outcome (nil-safe, like all span handles).
@@ -100,7 +97,7 @@ func (r *JointResult) Cost() int64 {
 	return int64(r.Cycles)*jointScale + int64(r.Enc)
 }
 
-// jointSol is the incumbent payload carried through the steal engine.
+// jointSol is the incumbent payload carried through the epoch engine.
 type jointSol struct {
 	ii   int
 	time []int
@@ -168,26 +165,16 @@ func SolveJoint(l *Loop, m vliw.Machine, regN, diffN int, opts JointOptions) (*J
 	if maxNodes == 0 {
 		maxNodes = jointDefaultMaxNodes
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	states := make([]*jointState, workers)
+	st := newJointState(work, m, regN, diffN, mii, phased.II, cp, cpMax)
 	outs := ilp.RunSteal(ilp.StealConfig[jointItem, jointSol]{
 		Groups:   1,
 		GroupOf:  func(jointItem) int { return 0 },
 		Items:    []jointItem{{}},
 		Bound:    []float64{float64(res.Cost())},
 		MaxNodes: maxNodes,
-		Workers:  workers,
 		Cancel:   opts.Cancel,
 		Stats:    opts.Stats,
-		Run: func(w int, it jointItem, bound float64, chunk int) ilp.ChunkOut[jointItem, jointSol] {
-			st := states[w]
-			if st == nil {
-				st = newJointState(work, m, regN, diffN, mii, phased.II, cp, cpMax)
-				states[w] = st
-			}
+		Run: func(it jointItem, bound float64, chunk int) ilp.ChunkOut[jointItem, jointSol] {
 			return st.solveChunk(it, int64(bound), chunk, opts.Cancel)
 		},
 	})
@@ -249,7 +236,7 @@ type regCand struct {
 	delta int
 }
 
-// jointState is the per-worker search arena for one loop. A chunk
+// jointState is the search arena for one loop. A chunk
 // fully resets and replays its item's decision prefix, so the state
 // carries no information between items beyond its allocations.
 type jointState struct {

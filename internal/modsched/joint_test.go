@@ -2,6 +2,8 @@ package modsched
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"diffra/internal/adjacency"
@@ -192,9 +194,9 @@ func TestJointMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestJointParallelMatchesSerial is the determinism contract for the
-// joint solver on the work-stealing engine: full-struct equality at
-// workers 1/2/8, including node and prune counts.
+// TestJointParallelMatchesSerial: SolveJoint keeps no shared state,
+// so concurrent solves return exactly what the same solves return one
+// at a time, including node and prune counts.
 func TestJointParallelMatchesSerial(t *testing.T) {
 	m := vliw.Default()
 	rng := rand.New(rand.NewSource(31))
@@ -202,26 +204,32 @@ func TestJointParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		loops = append(loops, randomLoop(rng, 5+rng.Intn(9)))
 	}
-	for li, l := range loops {
-		serial, err := SolveJoint(l, m, 12, 4, JointOptions{Restarts: 4, Seed: 5, MaxNodes: 30000, Workers: 1})
+	opts := JointOptions{Restarts: 4, Seed: 5, MaxNodes: 30000}
+	serial := make([]*JointResult, len(loops))
+	for i, l := range loops {
+		r, err := SolveJoint(l, m, 12, 4, opts)
 		if err != nil {
-			t.Fatalf("loop %d: %v", li, err)
+			t.Fatalf("loop %d: %v", i, err)
 		}
-		for _, workers := range []int{2, 8} {
-			got, err := SolveJoint(l, m, 12, 4, JointOptions{Restarts: 4, Seed: 5, MaxNodes: 30000, Workers: workers})
-			if err != nil {
-				t.Fatalf("loop %d workers %d: %v", li, workers, err)
-			}
-			if got.II != serial.II || got.Enc != serial.Enc || got.Cycles != serial.Cycles ||
-				got.Improved != serial.Improved || got.Optimal != serial.Optimal ||
-				got.Nodes != serial.Nodes || got.Pruned != serial.Pruned {
-				t.Fatalf("loop %d workers=%d: %+v != serial %+v", li, workers, got, serial)
-			}
-			for i := range serial.Time {
-				if got.Time[i] != serial.Time[i] || got.RegOf[i] != serial.RegOf[i] {
-					t.Fatalf("loop %d workers=%d: schedule/assignment differ at op %d", li, workers, i)
-				}
-			}
+		serial[i] = r
+	}
+	got := make([]*JointResult, len(loops))
+	errs := make([]error, len(loops))
+	var wg sync.WaitGroup
+	for i, l := range loops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = SolveJoint(l, m, 12, 4, opts)
+		}()
+	}
+	wg.Wait()
+	for i := range loops {
+		if errs[i] != nil {
+			t.Fatalf("loop %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], serial[i]) {
+			t.Fatalf("loop %d: concurrent %+v != serial %+v", i, got[i], serial[i])
 		}
 	}
 }
@@ -253,16 +261,70 @@ func TestJointImprovesConstructedLoop(t *testing.T) {
 	}
 }
 
-// TestJointStatsFlow: the steal-engine telemetry surface reaches the
+// TestJointStatsFlow: the epoch engine's telemetry surface reaches the
 // caller through JointOptions.Stats.
 func TestJointStatsFlow(t *testing.T) {
 	m := vliw.Default()
 	var stats ilp.StealStats
-	_, err := SolveJoint(highPressureLoop(10), m, 10, 4, JointOptions{Restarts: 2, Seed: 1, MaxNodes: 30000, Workers: 2, Stats: &stats})
+	_, err := SolveJoint(highPressureLoop(10), m, 10, 4, JointOptions{Restarts: 2, Seed: 1, MaxNodes: 30000, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Epochs == 0 || stats.Items == 0 {
 		t.Fatalf("no scheduler telemetry recorded: %+v", stats)
+	}
+}
+
+// TestJointSearchPinned pins the joint search's exact outcome and
+// effort on the bench's hard loop (budget-bound, phased incumbent
+// kept) and on a tight-geometry loop the search improves and proves
+// optimal: objective, node/prune counts, epoch schedule, and the
+// improved loop's schedule and registers.
+func TestJointSearchPinned(t *testing.T) {
+	m := vliw.Default()
+	rng := rand.New(rand.NewSource(41))
+	randomLoop(rng, 6+rng.Intn(8))
+	tight := randomLoop(rng, 6+rng.Intn(8))
+	for _, tc := range []struct {
+		name                      string
+		l                         *Loop
+		regN, diffN               int
+		opts                      JointOptions
+		cost                      int64
+		improved, optimal         bool
+		nodes, pruned             int
+		epochs, items, broadcasts int64
+		time, regs                []int // nil: not pinned
+	}{
+		{name: "high-pressure", l: highPressureLoop(10), regN: 10, diffN: 4,
+			opts: JointOptions{Restarts: 40, Seed: 1, MaxNodes: 20000},
+			cost: 4583445, nodes: 20000, pruned: 50, epochs: 8, items: 28},
+		{name: "tight", l: tight, regN: 8, diffN: 2,
+			opts: JointOptions{Restarts: 2, Seed: 1, MaxNodes: 200000},
+			cost: 851970, improved: true, optimal: true, nodes: 8995, pruned: 32863, epochs: 3, items: 21, broadcasts: 1,
+			time: []int{0, 2, 0, 5, 0, 7, 1}, regs: []int{0, 1, 2, 5, 3, 6, 7}},
+	} {
+		var st ilp.StealStats
+		tc.opts.Stats = &st
+		r, err := SolveJoint(tc.l, m, tc.regN, tc.diffN, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Cost() != tc.cost || r.Improved != tc.improved || r.Optimal != tc.optimal || r.Nodes != tc.nodes || r.Pruned != tc.pruned {
+			t.Errorf("%s: cost %d improved %v optimal %v nodes %d pruned %d, want %d %v %v %d %d",
+				tc.name, r.Cost(), r.Improved, r.Optimal, r.Nodes, r.Pruned, tc.cost, tc.improved, tc.optimal, tc.nodes, tc.pruned)
+		}
+		if st.Epochs != tc.epochs || st.Items != tc.items || st.Broadcasts != tc.broadcasts {
+			t.Errorf("%s: epochs %d items %d broadcasts %d, want %d %d %d",
+				tc.name, st.Epochs, st.Items, st.Broadcasts, tc.epochs, tc.items, tc.broadcasts)
+		}
+		if tc.time == nil {
+			continue
+		}
+		for i := range tc.time {
+			if r.Time[i] != tc.time[i] || r.RegOf[i] != tc.regs[i] {
+				t.Fatalf("%s: schedule %v registers %v, want %v %v", tc.name, r.Time, r.RegOf, tc.time, tc.regs)
+			}
+		}
 	}
 }

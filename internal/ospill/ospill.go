@@ -40,9 +40,8 @@ type Options struct {
 	// MaxNodes caps the ILP search per independently-solved work item
 	// (0: solver default).
 	MaxNodes int
-	// Workers is the goroutine count for the ILP solver's
-	// deterministic parallel search (0 or 1: serial). The spill set is
-	// bit-identical at any worker count.
+	// Workers is ignored: the ILP search is serial. It is kept so
+	// existing callers still compile.
 	Workers int
 	// DisableLoopSpills turns off loop-granularity spill placement
 	// (store once on loop entry, reload on exit, for ranges live
@@ -91,8 +90,8 @@ type Stats struct {
 	ILPPruned int
 	// Cancelled is true when the solve was aborted by a Cancel hook.
 	Cancelled bool
-	// Steal reports the solver's work-stealing scheduler behaviour
-	// (epochs, scheduled items, bound broadcasts, steals).
+	// Steal reports the solver's epoch schedule (epochs, scheduled
+	// items, bound broadcasts).
 	Steal ilp.StealStats
 }
 
@@ -151,14 +150,13 @@ func conKey(vars []int, need int) string {
 // DecideSpills runs the optimal spill phase on f (without rewriting):
 // it returns the chosen spill set and whether it is provably optimal.
 func DecideSpills(f *ir.Func, k, maxNodes int) (map[ir.Reg]bool, Stats) {
-	return DecideSpillsCancel(f, k, maxNodes, 0, nil)
+	return DecideSpillsCancel(f, k, maxNodes, nil)
 }
 
-// DecideSpillsCancel is DecideSpills with a solver worker count and a
-// cancellation hook polled by the ILP solver; when the hook fires, the
-// returned Stats report Cancelled and the spill set is the best
-// incumbent found so far.
-func DecideSpillsCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, Stats) {
+// DecideSpillsCancel is DecideSpills with a cancellation hook polled
+// by the ILP solver; when the hook fires, the returned Stats report
+// Cancelled and the spill set is the best incumbent found so far.
+func DecideSpillsCancel(f *ir.Func, k, maxNodes int, cancel func() bool) (map[ir.Reg]bool, Stats) {
 	prob := SpillProblem(f, k)
 	st := Stats{Constraints: len(prob.Constraints)}
 	spills := make(map[ir.Reg]bool)
@@ -166,7 +164,7 @@ func DecideSpillsCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool
 		st.ILPOptimal = true
 		return spills, st
 	}
-	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Workers: workers, Cancel: cancel, Stats: &st.Steal})
+	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Cancel: cancel, Stats: &st.Steal})
 	st.ILPOptimal = sol.Optimal
 	st.ILPNodes = sol.Nodes
 	st.ILPComponents = sol.Components
@@ -187,12 +185,12 @@ func DecideSpillsCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool
 // spills. When the extended program yields no feasible solution within
 // budget, it falls back to the whole-range model (always feasible).
 func DecideSpillsExtended(f *ir.Func, k, maxNodes int) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
-	return DecideSpillsExtendedCancel(f, k, maxNodes, 0, nil)
+	return DecideSpillsExtendedCancel(f, k, maxNodes, nil)
 }
 
-// DecideSpillsExtendedCancel is DecideSpillsExtended with a solver
-// worker count and a cancellation hook polled by the ILP solver.
-func DecideSpillsExtendedCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
+// DecideSpillsExtendedCancel is DecideSpillsExtended with a
+// cancellation hook polled by the ILP solver.
+func DecideSpillsExtendedCancel(f *ir.Func, k, maxNodes int, cancel func() bool) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
 	prob, cands := ExtendedSpillProblem(f, k)
 	st := Stats{Constraints: len(prob.Constraints)}
 	spills := make(map[ir.Reg]bool)
@@ -200,10 +198,10 @@ func DecideSpillsExtendedCancel(f *ir.Func, k, maxNodes, workers int, cancel fun
 		st.ILPOptimal = true
 		return spills, nil, st
 	}
-	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Workers: workers, Cancel: cancel, Stats: &st.Steal})
+	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Cancel: cancel, Stats: &st.Steal})
 	if sol.X == nil {
 		extended := st.Steal
-		spills, st = DecideSpillsCancel(f, k, maxNodes, workers, cancel)
+		spills, st = DecideSpillsCancel(f, k, maxNodes, cancel)
 		st.Steal.Merge(extended) // keep the abandoned extended solve's effort visible
 		return spills, nil, st
 	}
@@ -239,9 +237,9 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	var st Stats
 	ilpSpan := opts.Trace.Child("ilp")
 	if opts.DisableLoopSpills {
-		spills, st = DecideSpillsCancel(work, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
+		spills, st = DecideSpillsCancel(work, opts.K, opts.MaxNodes, opts.Cancel)
 	} else {
-		spills, loopChosen, st = DecideSpillsExtendedCancel(work, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
+		spills, loopChosen, st = DecideSpillsExtendedCancel(work, opts.K, opts.MaxNodes, opts.Cancel)
 	}
 	ilpSpan.Add("constraints", int64(st.Constraints))
 	ilpSpan.Add("nodes", int64(st.ILPNodes))
@@ -253,7 +251,6 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	ilpSpan.Add("steal_epochs", st.Steal.Epochs)
 	ilpSpan.Add("steal_items", st.Steal.Items)
 	ilpSpan.Add("steal_broadcasts", st.Steal.Broadcasts)
-	ilpSpan.Add("steals", st.Steal.Steals)
 	ilpSpan.SetAttr("optimal", st.ILPOptimal)
 	ilpSpan.SetAttr("cancelled", st.Cancelled)
 	ilpSpan.End()
@@ -262,14 +259,11 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		// visible in `diffra -metrics` output instead.
 		telemetry.Default.Counter("spill_nonoptimal").Inc()
 	}
-	// Work-stealing scheduler health: epochs/items/broadcasts are
-	// deterministic per workload (a drift signals a search change);
-	// steals are the one timing-dependent number and the only direct
-	// evidence in production that the dynamic splitter is balancing.
+	// Epoch engine health: epochs/items/broadcasts are deterministic
+	// per workload, so a drift signals a search change.
 	telemetry.Default.Counter("ilp_steal_epochs").Add(st.Steal.Epochs)
 	telemetry.Default.Counter("ilp_steal_items").Add(st.Steal.Items)
 	telemetry.Default.Counter("ilp_steal_broadcasts").Add(st.Steal.Broadcasts)
-	telemetry.Default.Counter("ilp_steals").Add(st.Steal.Steals)
 	if st.Cancelled || (opts.Cancel != nil && opts.Cancel()) {
 		return nil, nil, nil, ErrCancelled
 	}

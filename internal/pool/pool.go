@@ -1,4 +1,7 @@
-package service
+// Package pool is a bounded worker pool shared by the compile service
+// (one slot per in-flight compile) and the experiments harness (which
+// fans a workload×scheme grid out over it).
+package pool
 
 import (
 	"context"
@@ -7,17 +10,16 @@ import (
 )
 
 // Pool is a bounded worker pool: at most Workers() tasks execute at
-// once, across every entry point that shares the pool (single HTTP
-// compiles, batch requests, the experiments harness). Slots are a
+// once, across every entry point that shares the pool. Slots are a
 // semaphore, so work always runs on the submitting goroutine — nothing
 // is spawned that can leak.
 type Pool struct {
 	sem chan struct{}
 }
 
-// NewPool builds a pool; workers <= 0 sizes it to GOMAXPROCS, the
-// number of compilations that can make progress simultaneously.
-func NewPool(workers int) *Pool {
+// New builds a pool; workers <= 0 sizes it to GOMAXPROCS, the number
+// of compilations that can make progress simultaneously.
+func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -1,4 +1,4 @@
-package service
+package pool
 
 import (
 	"context"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(3)
+	p := New(3)
 	if p.Workers() != 3 {
 		t.Fatalf("Workers() = %d, want 3", p.Workers())
 	}
@@ -35,7 +35,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 }
 
 func TestPoolDoHonoursContextWhileQueued(t *testing.T) {
-	p := NewPool(1)
+	p := New(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go p.Do(context.Background(), func() {
@@ -54,7 +54,7 @@ func TestPoolDoHonoursContextWhileQueued(t *testing.T) {
 }
 
 func TestPoolMapFirstErrorWins(t *testing.T) {
-	p := NewPool(2)
+	p := New(2)
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	err := p.Map(context.Background(), 100, func(i int) error {
@@ -73,7 +73,7 @@ func TestPoolMapFirstErrorWins(t *testing.T) {
 }
 
 func TestPoolMapEmpty(t *testing.T) {
-	if err := NewPool(0).Map(context.Background(), 0, func(int) error {
+	if err := New(0).Map(context.Background(), 0, func(int) error {
 		t.Error("fn called for n=0")
 		return nil
 	}); err != nil {

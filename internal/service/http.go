@@ -102,6 +102,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // emits responses in input order, flushing each one — so early
 // results reach the client while later compiles are still running.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.reg.Counter("service_batches").Inc()
 	// An HTTP/1 server closes the request body once the response starts
 	// unless full duplex is on, so a flushed early result would cut off
 	// the lines still to be read. A writer that cannot switch returns an

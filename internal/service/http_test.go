@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -42,6 +43,35 @@ func newTestHTTPWith(t *testing.T, cfg Config) (*HTTPServer, *httptest.Server) {
 	ts := httptest.NewServer(h.Handler())
 	t.Cleanup(ts.Close)
 	return h, ts
+}
+
+// postBatch posts reqs to url's /batch as NDJSON and decodes the
+// response lines.
+func postBatch(t *testing.T, url string, reqs []Request) []Response {
+	t.Helper()
+	var in bytes.Buffer
+	enc := json.NewEncoder(&in)
+	for _, req := range reqs {
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hr, err := http.Post(url+"/batch", "application/x-ndjson", &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var out []Response
+	dec := json.NewDecoder(hr.Body)
+	for {
+		var resp Response
+		if err := dec.Decode(&resp); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, resp)
+	}
 }
 
 func postCompile(t *testing.T, url string, req Request) (*http.Response, Response) {
@@ -141,31 +171,11 @@ func TestHTTPStatusCodes(t *testing.T) {
 // keeps serving.
 func TestHTTPBatchBadGeometryLine(t *testing.T) {
 	_, ts := newTestHTTP(t)
-
-	var in bytes.Buffer
-	for _, req := range []Request{
+	lines := postBatch(t, ts.URL, []Request{
 		{IR: tinyIR, Scheme: "select"},
 		{IR: tinyIR, Scheme: "select", Restarts: -1},
 		{IR: tinyIR, Scheme: "remapping", RegN: 1 << 20},
-	} {
-		if err := json.NewEncoder(&in).Encode(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hr, err := http.Post(ts.URL+"/batch", "application/x-ndjson", &in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	var lines []Response
-	dec := json.NewDecoder(hr.Body)
-	for {
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			break
-		}
-		lines = append(lines, resp)
-	}
+	})
 	if len(lines) != 3 || lines[0].Error != "" || lines[1].Error == "" || lines[2].Error == "" {
 		t.Fatalf("batch lines %+v, want ok then two errors", lines)
 	}

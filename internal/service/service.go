@@ -7,9 +7,8 @@
 // long-running searches (the optimal-spill ILP above all), so an
 // abandoned request stops burning CPU instead of leaking a goroutine.
 //
-// The same Pool drives the experiments harness
-// (internal/experiments), so regenerating the paper's tables exploits
-// every core through one concurrency bound.
+// The worker pool is internal/pool, which the experiments harness
+// also uses to fan its grids out.
 package service
 
 import (
@@ -27,6 +26,7 @@ import (
 	"diffra/internal/diffenc"
 	"diffra/internal/difftest"
 	"diffra/internal/ir"
+	"diffra/internal/pool"
 	"diffra/internal/scratch"
 	"diffra/internal/telemetry"
 )
@@ -58,6 +58,25 @@ type Request struct {
 	Listing bool `json:"listing,omitempty"`
 	// Explain asks for the set_last_reg attribution report.
 	Explain bool `json:"explain,omitempty"`
+}
+
+// Options resolves the request's compile options as a server whose
+// Config.Alloc is defaultAlloc does: the request's own Alloc wins, and
+// an empty one falls back to defaultAlloc. The server and the cluster
+// router both derive the CacheKey from these options, so the router
+// routes a request to the node that caches it.
+func (r Request) Options(defaultAlloc string) (diffra.Options, error) {
+	alloc := r.Alloc
+	if alloc == "" {
+		alloc = defaultAlloc
+	}
+	return diffra.Options{
+		Scheme:   diffra.Scheme(r.Scheme),
+		Alloc:    diffra.Backend(alloc),
+		RegN:     r.RegN,
+		DiffN:    r.DiffN,
+		Restarts: r.Restarts,
+	}.Resolved()
 }
 
 // Response is the outcome of one Request. Error is set (and the other
@@ -209,10 +228,10 @@ func (c Config) withDefaults() Config {
 
 // Server is the compilation service: pool + cache + metrics. It is
 // safe for concurrent use; the HTTP layer in http.go is one front end,
-// ServeBatch and Compile are the in-process ones.
+// Compile is the in-process one.
 type Server struct {
 	cfg       Config
-	pool      *Pool
+	pool      *pool.Pool
 	cache     *resultCache
 	reg       *telemetry.Registry
 	inflight  atomic.Int64
@@ -252,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    NewPool(cfg.Workers),
+		pool:    pool.New(cfg.Workers),
 		cache:   rc,
 		reg:     cfg.Registry,
 		started: time.Now(),
@@ -305,9 +324,9 @@ func (s *Server) Trace(id int64) *TraceRecord {
 	return s.traces.get(id)
 }
 
-// Pool exposes the server's worker pool so other subsystems (the
-// experiments harness, batch drivers) share its concurrency bound.
-func (s *Server) Pool() *Pool { return s.pool }
+// Pool exposes the server's worker pool (cmd/diffrad reports its
+// size).
+func (s *Server) Pool() *pool.Pool { return s.pool }
 
 // Registry exposes the metrics registry the server records into.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -460,17 +479,7 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	if int64(len(req.IR)) > s.cfg.MaxRequestBytes {
 		return errResponse(fmt.Errorf("service: ir source %d bytes exceeds limit %d", len(req.IR), s.cfg.MaxRequestBytes))
 	}
-	alloc := req.Alloc
-	if alloc == "" {
-		alloc = s.cfg.Alloc
-	}
-	opts, err := diffra.Options{
-		Scheme:   diffra.Scheme(req.Scheme),
-		Alloc:    diffra.Backend(alloc),
-		RegN:     req.RegN,
-		DiffN:    req.DiffN,
-		Restarts: req.Restarts,
-	}.Resolved()
+	opts, err := req.Options(s.cfg.Alloc)
 	if err != nil {
 		return errResponse(err)
 	}
@@ -629,24 +638,4 @@ func (s *Server) selfCheck(src *ir.Func, res *diffra.Result) (diverged bool) {
 		return true
 	}
 	return false
-}
-
-// ServeBatch compiles every request through the pool and returns the
-// responses in input order. Individual failures land in their
-// Response; ServeBatch itself never fails. The experiments harness
-// uses this path to compile workload×scheme grids.
-func (s *Server) ServeBatch(ctx context.Context, reqs []Request) []Response {
-	s.reg.Counter("service_batches").Inc()
-	out := make([]Response, len(reqs))
-	done := make(chan int)
-	for i := range reqs {
-		go func(i int) {
-			out[i] = s.Compile(ctx, reqs[i])
-			done <- i
-		}(i)
-	}
-	for range reqs {
-		<-done
-	}
-	return out
 }

@@ -213,15 +213,18 @@ func TestBadRequestsAreErrorsNotPanics(t *testing.T) {
 	}
 }
 
+// TestServeBatchOrderAndIsolation drives the daemon's /batch handler:
+// one response line per request, in input order, a bad line fails
+// alone, and the batch counts once in service_batches.
 func TestServeBatchOrderAndIsolation(t *testing.T) {
-	srv := newTestServer(t, Config{})
+	h, ts := newTestHTTP(t)
 	reqs := []Request{
 		{IR: tinyIR, Scheme: "select"},
 		{IR: "garbage"},
 		{IR: tinyIR, Scheme: "baseline", RegN: 8, DiffN: 8},
 		{IR: tinyIR, Scheme: "coalesce"},
 	}
-	resps := srv.ServeBatch(context.Background(), reqs)
+	resps := postBatch(t, ts.URL, reqs)
 	if len(resps) != len(reqs) {
 		t.Fatalf("got %d responses for %d requests", len(resps), len(reqs))
 	}
@@ -237,8 +240,11 @@ func TestServeBatchOrderAndIsolation(t *testing.T) {
 	if resps[3].Error != "" || resps[3].Scheme != "coalesce" {
 		t.Fatalf("resp 3: %+v", resps[3])
 	}
-	if b := srv.Registry().Counter("service_batches").Value(); b != 1 {
+	if b := h.Registry().Counter("service_batches").Value(); b != 1 {
 		t.Fatalf("service_batches = %d, want 1", b)
+	}
+	if n := h.Registry().Counter("service_requests").Value(); n != int64(len(reqs)) {
+		t.Fatalf("service_requests = %d, want %d", n, len(reqs))
 	}
 }
 
